@@ -11,6 +11,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p ulp-exec --all-targets -- -D warnings
 cargo clippy -p ulp-ir --all-targets -- -D warnings
 
+# Rustdoc: every intra-doc link in the first-party crates must resolve,
+# so a link to a deleted or private item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --lib \
+    -p ulp-adc -p ulp-analog -p ulp-bench -p ulp-check -p ulp-cmos \
+    -p ulp-device -p ulp-exec -p ulp-ir -p ulp-num -p ulp-pmu \
+    -p ulp-spice -p ulp-stscl
+echo "rustdoc (intra-doc links, warnings denied) OK"
+
 # Telemetry path: one bench binary under ULP_TRACE=summary must render
 # the solver-metrics footer, and ULP_TRACE=events must produce valid
 # (non-empty, one-object-per-line) JSONL — so the tracing layer can

@@ -163,7 +163,7 @@ fn adaptive_row(name: &str, nl: &Netlist, tech: &Technology, timed: bool) -> Ada
     // Multi-scale workload: a latent lead-in, a current step rising
     // over tau/2, then a long settling tail — the fixed march pays the
     // edge rate everywhere, the adaptive engine only at the edge.
-    let tau = suggest_dt(nl, 1.0, 0);
+    let tau = suggest_dt(nl, 1.0);
     let t_stop = 50.0 * tau;
     let driven = pulsed_tran_netlist(nl, tau);
 
@@ -311,7 +311,7 @@ fn main() {
         // `suggest_dt` now returns the adaptive dt_max hint (the
         // fastest time constant); dividing by 10 reproduces the legacy
         // points-per-tau march this workload has always timed.
-        let dt = suggest_dt(&nl, 1.0, 0) / 10.0;
+        let dt = suggest_dt(&nl, 1.0) / 10.0;
         let t_stop = 200.0 * dt;
         let driven = driven_tran_netlist(&nl, 8.0 * dt);
         let (dense_s, sparse_s) = time_backends(5, |solver| {

@@ -8,7 +8,7 @@
 //! unpark through a deterministic virtual scheduler. On top of that
 //! seam sit:
 //!
-//! * a **bounded schedule explorer** ([`explore`], [`Config`]) —
+//! * a **bounded schedule explorer** ([`explore`](fn@explore), [`Config`]) —
 //!   depth-first enumeration of every interleaving within a preemption
 //!   bound (iterative context bounding), plus a seed-derived
 //!   random-walk mode for CI;

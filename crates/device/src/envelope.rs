@@ -18,7 +18,7 @@
 //! load's `tanh` I–V is odd and monotone. Endpoint evaluation plus
 //! outward rounding (see [`ulp_num::interval`]) therefore yields tight,
 //! sound bounds. On top of the interval library's per-operation ulp
-//! slack, each envelope is inflated by a relative [`ENV_SLACK`] so
+//! slack, each envelope is inflated by a relative `ENV_SLACK` (10⁻¹²) so
 //! that multi-operation `std` math (`exp` + `ln_1p` + squaring) can
 //! never round a true member outside the reported box.
 //!

@@ -24,6 +24,7 @@
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use ulp_spice::sarif::{escape as json_escape, json_num};
 use ulp_spice::telemetry::SolverCounters;
 
 /// How a trial ended.
@@ -118,15 +119,6 @@ fn percentile_usize(samples: &[usize], q: f64) -> usize {
     sorted.sort_unstable();
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl CampaignReport {
@@ -282,7 +274,7 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"root_seed\":{},\"counters_recorded\":{},\"ledger\":[",
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            json_escape(&self.label),
             self.trials,
             self.root_seed,
             self.counters_recorded
@@ -307,7 +299,7 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"jobs\":{},\"root_seed\":{},\"wall_seconds\":{},\"ok\":{},\"panicked\":{},\"cancelled\":{},\"throughput_per_sec\":{},\"p50_seconds\":{},\"p95_seconds\":{},\"max_seconds\":{},\"p50_newton_iterations\":{},\"p95_newton_iterations\":{},\"counters_recorded\":{}",
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            json_escape(&self.label),
             self.trials,
             self.jobs,
             self.root_seed,

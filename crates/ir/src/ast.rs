@@ -6,7 +6,7 @@
 //! constants, per-device-class geometry defaults and an optional
 //! [`SweepSpec`]. Everything is ordinary owned data — `Vec`s preserve
 //! declaration order, so serializing and re-parsing a design
-//! reproduces it exactly (see [`crate::parse`] and [`Design::to_text`]).
+//! reproduces it exactly (see [`crate::parse`](fn@crate::parse) and [`Design::to_text`]).
 
 use std::fmt;
 use ulp_device::Polarity;

@@ -9,11 +9,11 @@
 //! - [`ast`] — plain-data IR: a [`Design`] of [`Subckt`] definitions
 //!   with typed ports ([`PortRole`]), device cards, hierarchical
 //!   [`Instance`]s, named parameters, and declarative sweep cards.
-//! - [`parse`] — a line-oriented text dialect (`.subckt`/`.ends`,
+//! - [`parse`](mod@parse) — a line-oriented text dialect (`.subckt`/`.ends`,
 //!   device cards, `X…` instances) with typed errors carrying line,
 //!   column and offending token; [`Design::to_text`] is the inverse,
 //!   byte-stable serializer: `parse(d.to_text()) == d`.
-//! - [`flatten`] — recursive elaboration into a flat
+//! - [`flatten`](mod@flatten) — recursive elaboration into a flat
 //!   [`ulp_spice::Netlist`] under the `x1.x2.node` naming contract,
 //!   so the whole existing stack (ERC, lints, the interval certifier,
 //!   both solver backends, telemetry) applies unchanged.

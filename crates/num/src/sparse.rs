@@ -299,7 +299,7 @@ pub struct SparseLu {
 
 impl SparseLu {
     /// Full factorization of `a` as `P·A = L·U`: elimination in natural
-    /// column order with threshold partial pivoting (see [`PIVOT_TOL`])
+    /// column order with threshold partial pivoting (`PIVOT_TOL` = 10⁻³)
     /// and a minimum-row-count tie-break, recording pivot order and
     /// fill-in for later [`SparseLu::refactor`] calls.
     ///

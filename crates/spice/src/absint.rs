@@ -57,7 +57,7 @@
 //! A *structural* certificate is tried first: when the voltage
 //! sources pin a forest rooted at ground and the free-node
 //! conductance block peels down to a strictly column-dominant
-//! Z-matrix per die (see [`structural_nonsingular`]), the Jacobian is
+//! Z-matrix per die (see `structural_nonsingular`), the Jacobian is
 //! nonsingular for every die at **every** voltage — no intervals, no
 //! corners. Otherwise the interval Jacobian is stamped exactly like
 //! [`crate::mna`] assembles the point Jacobian (same stamps, same
@@ -174,7 +174,7 @@ pub enum Verdict {
     ProvedNonsingular {
         /// The argument that closed the proof: `"structural
         /// M-matrix"` when the corner-independent certificate of
-        /// [`structural_nonsingular`] applies, otherwise the strongest
+        /// `structural_nonsingular` applies, otherwise the strongest
         /// interval argument any corner needed (`"Gershgorin
         /// circles"`, `"midpoint-preconditioned enclosure"`,
         /// `"interval LU"`, or `"temperature-sliced interval LU"`).

@@ -30,8 +30,8 @@ impl AcResult {
     /// Runs an AC analysis over `freqs` (Hz) about the operating point
     /// `op`.
     ///
-    /// Runs the electrical rule check ([`crate::erc::check`]) once up
-    /// front; use [`AcResult::run_unchecked`] to bypass.
+    /// Runs the electrical rule check ([`crate::erc::gate`]) once up
+    /// front.
     ///
     /// # Errors
     ///
@@ -44,23 +44,7 @@ impl AcResult {
         op: &DcOperatingPoint,
         freqs: &[f64],
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::run_unchecked(nl, tech, op, freqs)
-    }
-
-    /// [`AcResult::run`] without the electrical rule check — the escape
-    /// hatch for deliberately degenerate netlists.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AcResult::run`], minus the ERC gate.
-    pub fn run_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        op: &DcOperatingPoint,
-        freqs: &[f64],
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::run_traced_unchecked(nl, tech, op, freqs, tracer))
+        telemetry::with_tracer(|tracer| Self::run_traced(nl, tech, op, freqs, tracer))
     }
 
     /// [`AcResult::run`] recording telemetry on the given tracer: one
@@ -77,21 +61,6 @@ impl AcResult {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        Self::run_traced_unchecked(nl, tech, op, freqs, tracer)
-    }
-
-    /// [`AcResult::run_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AcResult::run`], minus the ERC gate.
-    pub fn run_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        op: &DcOperatingPoint,
-        freqs: &[f64],
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
         let dim = nl.unknown_count();
         let solutions = if SolverKind::Auto.resolve(dim) == SolverKind::Sparse {
             run_sparse(nl, tech, op, freqs, tracer)?

@@ -3,7 +3,7 @@
 use crate::error::SimError;
 use crate::mna::{branch_index, voltage_of, AssembleMode, MnaWorkspace, SolverKind};
 use crate::netlist::{Netlist, Node};
-use crate::telemetry::{self, Event, NullTracer, Tracer};
+use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
 use ulp_device::Technology;
 
@@ -178,110 +178,31 @@ fn attempt(
     }
 }
 
-/// Runs damped Newton iteration at a fixed gmin from initial guess
-/// `x0`, reporting the iterations used and the final KCL residual.
+/// The gmin-stepping conductance ladder, heaviest rung first.
+const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11];
+
+/// Newton solve with gmin stepping, recording telemetry: attempt the
+/// target gmin first and, on failure, walk a conductance ladder from
+/// heavy damping down, re-using each stage's solution as the next
+/// stage's guess. Emits one [`Event::NewtonAttempt`] per attempt (rung
+/// `None` for the direct attempt, then `Some(0..)` down the ladder),
+/// tagged with `analysis`.
 ///
-/// Used by the operating-point, sweep and transient drivers. Runs no
-/// electrical rule check — callers gate netlists themselves (see
-/// [`crate::erc`]).
+/// This is the raw Newton driver and the one public solve path that
+/// runs **no** electrical rule check: every analysis entry point
+/// ([`DcOperatingPoint::solve`], [`crate::tran::Transient::run`],
+/// [`crate::sweep::dc_sweep`], [`crate::ac::AcResult::run`]) gates its
+/// netlist through [`crate::erc::gate`] first. Call it directly only to
+/// solve a deliberately degenerate netlist (gmin then pins a floating
+/// node near 0 V instead of failing cleanly).
 ///
 /// # Errors
 ///
 /// [`SimError::Singular`] (naming the failed node or branch) if the
 /// Jacobian is singular; [`SimError::NoConvergence`] (carrying the
 /// iterations used, the gmin, and the residuals of the failing attempt)
-/// if the iteration stalls.
-pub fn newton_solve(
-    nl: &Netlist,
-    tech: &Technology,
-    mode: AssembleMode<'_>,
-    x0: &[f64],
-    gmin: f64,
-    opts: &NewtonOptions,
-) -> Result<NewtonResult, SimError> {
-    let mut ws = MnaWorkspace::new(nl, opts.solver);
-    let mut x = x0.to_vec();
-    let mut x_new = Vec::with_capacity(x.len());
-    let info = attempt(
-        nl,
-        tech,
-        mode,
-        &mut ws,
-        &mut x,
-        &mut x_new,
-        gmin,
-        opts,
-        "dcop",
-        None,
-        &mut NullTracer,
-    )?;
-    Ok(NewtonResult {
-        x,
-        iterations: info.iterations,
-        residual: info.residual,
-        max_delta: info.max_delta,
-    })
-}
-
-/// [`newton_solve`] recording telemetry: emits one
-/// [`Event::NewtonAttempt`] tagged with `analysis` on the given tracer.
-///
-/// # Errors
-///
-/// As for [`newton_solve`].
-#[allow(clippy::too_many_arguments)]
-pub fn newton_solve_traced(
-    nl: &Netlist,
-    tech: &Technology,
-    mode: AssembleMode<'_>,
-    x0: &[f64],
-    gmin: f64,
-    opts: &NewtonOptions,
-    analysis: &'static str,
-    tracer: &mut dyn Tracer,
-) -> Result<NewtonResult, SimError> {
-    let mut ws = MnaWorkspace::new(nl, opts.solver);
-    let mut x = x0.to_vec();
-    let mut x_new = Vec::with_capacity(x.len());
-    let info = attempt(
-        nl, tech, mode, &mut ws, &mut x, &mut x_new, gmin, opts, analysis, None, tracer,
-    )?;
-    Ok(NewtonResult {
-        x,
-        iterations: info.iterations,
-        residual: info.residual,
-        max_delta: info.max_delta,
-    })
-}
-
-/// The gmin-stepping conductance ladder, heaviest rung first.
-const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11];
-
-/// Newton solve with gmin stepping: attempt the target gmin first and,
-/// on failure, walk a conductance ladder from heavy damping down,
-/// re-using each stage's solution as the next stage's guess.
-///
-/// # Errors
-///
-/// As for [`newton_solve`]; a [`SimError::NoConvergence`] names the
-/// ladder rung (`gmin` field) that gave up.
-pub fn newton_solve_gmin_stepping(
-    nl: &Netlist,
-    tech: &Technology,
-    mode: AssembleMode<'_>,
-    x0: &[f64],
-    opts: &NewtonOptions,
-) -> Result<NewtonResult, SimError> {
-    newton_solve_gmin_stepping_traced(nl, tech, mode, x0, opts, "dcop", &mut NullTracer)
-}
-
-/// [`newton_solve_gmin_stepping`] recording telemetry: emits one
-/// [`Event::NewtonAttempt`] per attempt (rung `None` for the direct
-/// attempt, then `Some(0..)` down the ladder), tagged with `analysis`.
-///
-/// # Errors
-///
-/// As for [`newton_solve_gmin_stepping`].
+/// if the iteration stalls — its `gmin` field names the ladder rung
+/// that gave up.
 pub fn newton_solve_gmin_stepping_traced(
     nl: &Netlist,
     tech: &Technology,
@@ -385,17 +306,17 @@ impl DcOperatingPoint {
     /// Solves the DC operating point with default Newton options.
     ///
     /// Runs the electrical rule check ([`crate::erc::gate`]) first and
-    /// refuses to solve a netlist with deny-level diagnostics; use
-    /// [`DcOperatingPoint::solve_unchecked`] to bypass. A clean verdict
-    /// is memoised on the netlist, so repeated solves of an unchanged
-    /// netlist (bias search loops, sweep drivers) check only once. For
-    /// region violations *at* the solved point — strong inversion,
-    /// unsaturated channels, near-singular systems — run the result
-    /// through [`crate::lint::audit`].
+    /// refuses to solve a netlist with deny-level diagnostics. A clean
+    /// verdict is memoised on the netlist, so repeated solves of an
+    /// unchanged netlist (bias search loops, sweep drivers) check only
+    /// once. For region violations *at* the solved point — strong
+    /// inversion, unsaturated channels, near-singular systems — run the
+    /// result through [`crate::lint::audit`].
     ///
     /// # Errors
     ///
     /// [`SimError::Erc`] when the netlist fails the rule check;
+    /// [`SimError::BadParameter`] when `ULP_LINT` is malformed;
     /// otherwise propagates [`SimError`] from the Newton driver.
     pub fn solve(nl: &Netlist, tech: &Technology) -> Result<Self, SimError> {
         Self::solve_with(nl, tech, &NewtonOptions::default())
@@ -411,35 +332,7 @@ impl DcOperatingPoint {
         tech: &Technology,
         opts: &NewtonOptions,
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::solve_with_unchecked(nl, tech, opts)
-    }
-
-    /// Solves starting from a previous solution (continuation), after
-    /// the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DcOperatingPoint::solve`].
-    pub fn solve_from(
-        nl: &Netlist,
-        tech: &Technology,
-        guess: &[f64],
-        opts: &NewtonOptions,
-    ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::solve_from_unchecked(nl, tech, guess, opts)
-    }
-
-    /// [`DcOperatingPoint::solve`] without the electrical rule check —
-    /// the escape hatch for deliberately degenerate netlists (gmin will
-    /// pin floating nodes near 0 V instead of failing cleanly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_unchecked(nl: &Netlist, tech: &Technology) -> Result<Self, SimError> {
-        Self::solve_with_unchecked(nl, tech, &NewtonOptions::default())
+        telemetry::with_tracer(|tracer| Self::solve_traced(nl, tech, opts, tracer))
     }
 
     /// [`DcOperatingPoint::solve_with`] recording telemetry on the
@@ -448,7 +341,7 @@ impl DcOperatingPoint {
     ///
     /// # Errors
     ///
-    /// As for [`DcOperatingPoint::solve_with`].
+    /// As for [`DcOperatingPoint::solve`].
     pub fn solve_traced(
         nl: &Netlist,
         tech: &Technology,
@@ -456,52 +349,8 @@ impl DcOperatingPoint {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        Self::solve_traced_unchecked(nl, tech, opts, tracer)
-    }
-
-    /// [`DcOperatingPoint::solve_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &NewtonOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
         let x0 = vec![0.0; nl.unknown_count()];
         let r = newton_solve_gmin_stepping_traced(nl, tech, AssembleMode::Dc, &x0, opts, "dcop", tracer)?;
-        Ok(DcOperatingPoint { x: r.x })
-    }
-
-    /// [`DcOperatingPoint::solve_with`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_with_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &NewtonOptions,
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::solve_traced_unchecked(nl, tech, opts, tracer))
-    }
-
-    /// [`DcOperatingPoint::solve_from`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_from_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        guess: &[f64],
-        opts: &NewtonOptions,
-    ) -> Result<Self, SimError> {
-        let r = telemetry::with_tracer(|tracer| {
-            newton_solve_gmin_stepping_traced(nl, tech, AssembleMode::Dc, guess, opts, "dcop", tracer)
-        })?;
         Ok(DcOperatingPoint { x: r.x })
     }
 
@@ -657,8 +506,8 @@ mod tests {
     #[test]
     fn floating_node_is_singular_or_gmin_pinned() {
         // A node with no DC path to ground: the checked entry point
-        // refuses it up front with a named diagnostic; the unchecked
-        // escape hatch still solves, with gmin pinning the node near 0.
+        // refuses it up front with a named diagnostic; the raw Newton
+        // driver still solves, with gmin pinning the node near 0.
         let mut nl = Netlist::new();
         let a = nl.node("a");
         let b = nl.node("b");
@@ -672,8 +521,18 @@ mod tests {
             }
             other => panic!("expected ERC rejection, got {other:?}"),
         }
-        let op = DcOperatingPoint::solve_unchecked(&nl, &tech()).unwrap();
-        assert!(op.voltage(b).abs() < 1e-6);
+        let x0 = vec![0.0; nl.unknown_count()];
+        let r = newton_solve_gmin_stepping_traced(
+            &nl,
+            &tech(),
+            AssembleMode::Dc,
+            &x0,
+            &NewtonOptions::default(),
+            "dcop",
+            &mut crate::telemetry::NullTracer,
+        )
+        .unwrap();
+        assert!(voltage_of(&r.x, b).abs() < 1e-6);
     }
 
     #[test]
@@ -691,7 +550,16 @@ mod tests {
         nl.diode("D1", a, Netlist::GROUND, 1e-15, 1.0);
         let x0 = vec![0.0; nl.unknown_count()];
         let opts = NewtonOptions::default();
-        let r = newton_solve(&nl, &tech(), AssembleMode::Dc, &x0, opts.gmin, &opts).unwrap();
+        let r = newton_solve_gmin_stepping_traced(
+            &nl,
+            &tech(),
+            AssembleMode::Dc,
+            &x0,
+            &opts,
+            "dcop",
+            &mut crate::telemetry::NullTracer,
+        )
+        .unwrap();
         // The diode is nonlinear: more than one iteration, and the KCL
         // residual at the converged point is far below the 1 µA drive.
         assert!(r.iterations > 1, "iterations = {}", r.iterations);

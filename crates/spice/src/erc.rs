@@ -35,9 +35,10 @@
 //!
 //! The checker runs by default inside every analysis entry point
 //! ([`crate::dcop::DcOperatingPoint::solve`], [`crate::sweep::dc_sweep`],
-//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`]); each
-//! has an `*_unchecked` escape hatch for deliberately degenerate
-//! netlists. A clean [`gate`] verdict is memoised on the netlist and
+//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`] and
+//! their `*_traced` twins); only the raw Newton driver
+//! ([`crate::dcop::newton_solve_gmin_stepping_traced`]) solves without
+//! it. A clean [`gate`] verdict is memoised on the netlist and
 //! reused until the netlist is mutated, so repeated analyses of one
 //! netlist (sweep drivers, replica bias iteration) pay for the check
 //! once.
@@ -103,15 +104,15 @@ pub fn check(nl: &Netlist) -> ErcReport {
 /// # Errors
 ///
 /// [`SimError::Erc`] carrying the full report when it contains at least
-/// one error-severity diagnostic.
+/// one error-severity diagnostic; [`SimError::BadParameter`] naming the
+/// rejected entry when `ULP_LINT` is set but malformed.
 pub fn gate(nl: &Netlist) -> Result<(), SimError> {
     if nl.erc_clean_cached() {
         return Ok(());
     }
-    let report = crate::lint::run_ctx(
-        &crate::lint::LintContext::new(nl),
-        &crate::lint::LintConfig::from_env(),
-    );
+    let cfg = crate::lint::LintConfig::try_from_env()
+        .map_err(|e| SimError::BadParameter(e.to_string()))?;
+    let report = crate::lint::run_ctx(&crate::lint::LintContext::new(nl), &cfg);
     if report.is_clean() {
         nl.mark_erc_clean();
         Ok(())

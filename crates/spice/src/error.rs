@@ -88,8 +88,8 @@ impl fmt::Display for SimError {
                 writeln!(f, "{report}")?;
                 write!(
                     f,
-                    "hint: fix the diagnostics above, or use the *_unchecked entry \
-                     point to bypass the ERC gate"
+                    "hint: fix the diagnostics above, or demote a rule at run \
+                     time with ULP_LINT=<rule>=warn"
                 )
             }
             SimError::Singular {
@@ -253,5 +253,6 @@ mod tests {
         assert!(msg.contains("electrical rule check failed"));
         assert!(msg.contains("`float`"));
         assert!(msg.contains("hint:"));
+        assert!(msg.contains("ULP_LINT=<rule>=warn"), "{msg}");
     }
 }

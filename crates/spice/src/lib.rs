@@ -79,7 +79,9 @@
 //!
 //! ```
 //! use ulp_spice::netlist::Netlist;
-//! use ulp_spice::dcop::DcOperatingPoint;
+//! use ulp_spice::dcop::{self, DcOperatingPoint, NewtonOptions};
+//! use ulp_spice::mna::{self, AssembleMode};
+//! use ulp_spice::telemetry::NullTracer;
 //! use ulp_spice::{erc, SimError};
 //! use ulp_device::Technology;
 //!
@@ -96,17 +98,24 @@
 //!     }
 //!     other => panic!("expected ERC rejection, got {other:?}"),
 //! }
-//! // Deliberately degenerate netlists can bypass the gate:
-//! let op = DcOperatingPoint::solve_unchecked(&nl, &Technology::default()).unwrap();
-//! assert!(op.voltage(fl).abs() < 1e-6); // gmin pins the floating node
+//! // The raw Newton driver runs no rule check; gmin pins the node:
+//! let x0 = vec![0.0; nl.unknown_count()];
+//! let r = dcop::newton_solve_gmin_stepping_traced(
+//!     &nl, &Technology::default(), AssembleMode::Dc, &x0,
+//!     &NewtonOptions::default(), "dcop", &mut NullTracer,
+//! ).unwrap();
+//! assert!(mna::voltage_of(&r.x, fl).abs() < 1e-6);
 //! ```
 //!
-//! Each checked entry point has an `*_unchecked` twin that skips the
-//! gate, and [`erc::check`] can be called directly for lint-style use.
-//! When a singular matrix does slip through (e.g. via the unchecked
-//! path), the solver maps the zero-pivot elimination step back through
-//! the MNA variable ordering to a named node or branch
-//! ([`SimError::Singular`], via [`mna::unknown_name`]).
+//! Every analysis has exactly one gated entry point plus its `*_traced`
+//! twin; [`dcop::newton_solve_gmin_stepping_traced`] is the one
+//! ungated solve path. A rule can be demoted at run time without code
+//! changes (`ULP_LINT=<rule>=warn`), and [`erc::check`] can be called
+//! directly for lint-style use. When a singular matrix does slip
+//! through (e.g. via the raw Newton driver), the solver maps the
+//! zero-pivot elimination step back through the MNA variable ordering
+//! to a named node or branch ([`SimError::Singular`], via
+//! [`mna::unknown_name`]).
 //!
 //! # Design lints
 //!

@@ -1609,7 +1609,7 @@ mod tests {
         // converges fine — only the audit sees the region violation.
         let t = tech();
         let nl = stscl_cell(10e-6, 0.2, 1.0);
-        let op = DcOperatingPoint::solve_unchecked(&nl, &t).unwrap();
+        let op = DcOperatingPoint::solve(&nl, &t).unwrap();
         let report = audit(&nl, &t, &op, &LintConfig::new());
         let d = report
             .find(rule::STRONG_INVERSION)

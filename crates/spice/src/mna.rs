@@ -1348,24 +1348,9 @@ fn apply_dyn(
 }
 
 /// Recovers the capacitor currents implied by a solved transient step —
-/// needed to carry trapezoidal state forward.
-///
-/// Returns one entry per capacitor in netlist order.
-pub fn capacitor_currents(
-    nl: &Netlist,
-    x: &[f64],
-    prev: &[f64],
-    prev_currents: &[f64],
-    dt: f64,
-    method: Integrator,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    capacitor_currents_into(nl, x, prev, prev_currents, dt, method, &mut out);
-    out
-}
-
-/// [`capacitor_currents`] writing into a caller-owned buffer (cleared
-/// first) — lets the transient loop reuse its per-step allocation.
+/// needed to carry trapezoidal state forward. Writes one entry per
+/// capacitor in netlist order into a caller-owned buffer (cleared
+/// first), so the transient loop reuses its per-step allocation.
 pub fn capacitor_currents_into(
     nl: &Netlist,
     x: &[f64],

@@ -31,6 +31,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::sarif::json_num;
+
 /// Default histogram bucket upper bounds for wall-clock seconds:
 /// exponential 1 µs … 100 s (an implicit `+Inf` overflow bucket is
 /// always appended).
@@ -366,15 +368,6 @@ fn prom_num(v: f64) -> String {
         if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
     } else {
         format!("{v:e}")
-    }
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
     }
 }
 

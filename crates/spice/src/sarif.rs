@@ -14,7 +14,10 @@
 //! deterministic: same report in, byte-identical JSON out, so exports
 //! can be golden-tested and diffed in CI. A minimal recursive-descent
 //! JSON reader ([`parse_json`]) rides along so the bench binary and the
-//! tests can validate emitted files without external tooling.
+//! tests can validate emitted files without external tooling, and the
+//! two writer primitives ([`escape`], [`json_num`]) are shared by every
+//! hand-rendered JSON export in the workspace (telemetry JSONL, metrics
+//! registry, campaign ledgers).
 //!
 //! [sarif]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html
 
@@ -42,8 +45,9 @@ fn level_of(severity: Severity) -> &'static str {
 
 /// Escapes a string for embedding in a JSON string literal (RFC 8259:
 /// quote, backslash and control characters; everything else passes
-/// through as UTF-8).
-fn escape(s: &str) -> String {
+/// through as UTF-8). [`parse_json`] reads the result back to the
+/// original string.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -59,6 +63,16 @@ fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Formats an `f64` as a JSON number (`null` for non-finite values,
+/// which JSON cannot represent).
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:e}")
+    } else {
+        "null".to_string()
+    }
 }
 
 fn push_result(out: &mut String, d: &Diagnostic, artifact: &str, indent: &str) {

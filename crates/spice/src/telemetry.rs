@@ -9,8 +9,7 @@
 //! and wall-clock timing. Two consumers exist:
 //!
 //! * a caller-supplied [`Tracer`] passed to the `*_traced` twin of each
-//!   analysis entry point (mirroring the `solve`/`solve_unchecked` twin
-//!   pattern) — typically a [`MetricsCollector`];
+//!   analysis entry point — typically a [`MetricsCollector`];
 //! * a process-global collector installed from the `ULP_TRACE`
 //!   environment variable (`summary` aggregates only, `events`
 //!   additionally keeps the full event log for JSONL export), which the
@@ -72,6 +71,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::registry::Registry;
+use crate::sarif::{escape as json_escape, json_num};
 
 /// How much the global collector keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,16 +237,6 @@ pub enum Event {
     },
 }
 
-/// Formats an `f64` as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Event {
     /// Stable machine-readable tag of the variant.
     pub fn kind(&self) -> &'static str {
@@ -374,18 +364,12 @@ impl Event {
                 );
             }
             Event::Phase { name, seconds } => {
-                // Phase names come from in-tree callers and contain no
-                // characters needing JSON escaping beyond the basics.
-                let escaped: String = name
-                    .chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        c if c.is_control() => vec![' '],
-                        c => vec![c],
-                    })
-                    .collect();
-                let _ = write!(s, ",\"name\":\"{escaped}\",\"seconds\":{}", json_num(*seconds));
+                let _ = write!(
+                    s,
+                    ",\"name\":\"{}\",\"seconds\":{}",
+                    json_escape(name),
+                    json_num(*seconds)
+                );
             }
         }
         s.push('}');
@@ -438,18 +422,6 @@ impl TaggedEvent {
         s.push('}');
         s
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One completed wall-clock span on the process-monotonic timeline:
@@ -1550,6 +1522,20 @@ mod tests {
         // Summary mode retains no events.
         assert!(mc.events().is_empty());
         assert_eq!(mc.render_jsonl(), "");
+    }
+
+    #[test]
+    fn phase_names_round_trip_through_jsonl() {
+        use crate::sarif::{parse_json, JsonValue};
+        let name = "tab\there \"quoted\" back\\slash\nnext\u{1}line";
+        let line = Event::Phase {
+            name: name.to_string(),
+            seconds: 1e-3,
+        }
+        .to_json();
+        assert!(!line.contains('\n'), "JSONL line must stay on one line: {line}");
+        let doc = parse_json(&line).unwrap();
+        assert_eq!(doc.get("name").and_then(JsonValue::as_str), Some(name));
     }
 
     #[test]

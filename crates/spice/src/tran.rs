@@ -79,10 +79,6 @@ impl TranOptions {
 }
 
 /// Adaptive transient controls.
-///
-/// Explicit options never consult the environment; callers that want
-/// the `ULP_TRAN` knob to participate go through
-/// [`AdaptiveOptions::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveOptions {
     /// Simulation end time, s.
@@ -146,140 +142,6 @@ impl AdaptiveOptions {
         self.reltol = reltol;
         self.abstol = abstol;
         self
-    }
-
-    /// [`AdaptiveOptions::new`] with the `ULP_TRAN` environment knob
-    /// applied on top of the defaults: `reltol=`/`abstol=` clauses
-    /// override the tolerances, and the returned [`TranMode`] reports
-    /// whether the knob asked for the adaptive or the fixed engine
-    /// (defaulting to adaptive when unset).
-    ///
-    /// # Errors
-    ///
-    /// [`TranEnvError`] when `ULP_TRAN` is set but malformed.
-    pub fn from_env(t_stop: f64, dt_max: f64) -> Result<(Self, TranMode), TranEnvError> {
-        let env = tran_from_env()?;
-        let mut opts = AdaptiveOptions::new(t_stop, dt_max);
-        env.apply(&mut opts);
-        Ok((opts, env.mode.unwrap_or(TranMode::Adaptive)))
-    }
-}
-
-/// Which transient engine the `ULP_TRAN` knob selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TranMode {
-    /// LTE-controlled adaptive stepping ([`Transient::run_adaptive`]).
-    #[default]
-    Adaptive,
-    /// The fixed-step march ([`Transient::run`]).
-    Fixed,
-}
-
-/// Parsed contents of the `ULP_TRAN` environment knob.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TranEnv {
-    /// Engine selection (`adaptive`/`fixed`), when given.
-    pub mode: Option<TranMode>,
-    /// `reltol=` override, when given.
-    pub reltol: Option<f64>,
-    /// `abstol=` override, when given.
-    pub abstol: Option<f64>,
-}
-
-impl TranEnv {
-    /// Applies the tolerance overrides to adaptive options in place.
-    pub fn apply(&self, opts: &mut AdaptiveOptions) {
-        if let Some(r) = self.reltol {
-            opts.reltol = r;
-        }
-        if let Some(a) = self.abstol {
-            opts.abstol = a;
-        }
-    }
-}
-
-/// A malformed `ULP_TRAN` value, naming the variable and the offending
-/// clause — same contract as the `ULP_SOLVER`/`ULP_JOBS`/`ULP_LINT`
-/// knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TranEnvError {
-    /// A clause that is neither a mode keyword nor a known `key=value`.
-    UnknownClause {
-        /// The clause as written.
-        clause: String,
-    },
-    /// A `reltol=`/`abstol=` clause whose value is not a positive
-    /// finite float.
-    BadNumber {
-        /// The clause as written.
-        clause: String,
-    },
-}
-
-impl std::fmt::Display for TranEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranEnvError::UnknownClause { clause } => write!(
-                f,
-                "ULP_TRAN: unknown clause `{clause}` (expected `adaptive`, `fixed`, \
-                 `reltol=<v>` or `abstol=<v>`, comma-separated)"
-            ),
-            TranEnvError::BadNumber { clause } => write!(
-                f,
-                "ULP_TRAN: bad number in `{clause}` (expected a positive finite float)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TranEnvError {}
-
-/// Parses an `ULP_TRAN` value: comma-separated clauses drawn from
-/// `adaptive`, `fixed`, `reltol=<v>`, `abstol=<v>` (case-insensitive
-/// keywords; empty clauses ignored; later clauses win).
-///
-/// # Errors
-///
-/// [`TranEnvError`] naming the first offending clause.
-pub fn tran_from_str(raw: &str) -> Result<TranEnv, TranEnvError> {
-    let mut env = TranEnv::default();
-    for clause in raw.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-        if clause.eq_ignore_ascii_case("adaptive") {
-            env.mode = Some(TranMode::Adaptive);
-        } else if clause.eq_ignore_ascii_case("fixed") {
-            env.mode = Some(TranMode::Fixed);
-        } else if let Some(v) = clause.strip_prefix("reltol=") {
-            env.reltol = Some(parse_tol(v, clause)?);
-        } else if let Some(v) = clause.strip_prefix("abstol=") {
-            env.abstol = Some(parse_tol(v, clause)?);
-        } else {
-            return Err(TranEnvError::UnknownClause {
-                clause: clause.to_string(),
-            });
-        }
-    }
-    Ok(env)
-}
-
-fn parse_tol(v: &str, clause: &str) -> Result<f64, TranEnvError> {
-    match v.trim().parse::<f64>() {
-        Ok(x) if x > 0.0 && x.is_finite() => Ok(x),
-        _ => Err(TranEnvError::BadNumber {
-            clause: clause.to_string(),
-        }),
-    }
-}
-
-/// Reads and parses the `ULP_TRAN` environment knob (unset or empty →
-/// all-default [`TranEnv`]).
-///
-/// # Errors
-///
-/// [`TranEnvError`] when the variable is set but malformed.
-pub fn tran_from_env() -> Result<TranEnv, TranEnvError> {
-    match std::env::var("ULP_TRAN") {
-        Ok(v) if !v.is_empty() => tran_from_str(&v),
-        _ => Ok(TranEnv::default()),
     }
 }
 
@@ -389,11 +251,10 @@ impl Transient {
     /// operating point with all sources at their `t = 0` values.
     ///
     /// Runs the electrical rule check ([`crate::erc::gate`]) once up
-    /// front (memoised across repeated runs of an unchanged netlist);
-    /// use [`Transient::run_unchecked`] to bypass. To vet the chosen
-    /// `dt` against the fastest RC in the netlist before committing to
-    /// a long run, see [`crate::lint::rule::RC_TIME_STEP`] and
-    /// [`suggest_dt`].
+    /// front (memoised across repeated runs of an unchanged netlist). To
+    /// vet the chosen `dt` against the fastest RC in the netlist before
+    /// committing to a long run, see [`crate::lint::rule::RC_TIME_STEP`]
+    /// and [`suggest_dt`].
     ///
     /// # Errors
     ///
@@ -402,22 +263,7 @@ impl Transient {
     /// (the error is tagged with the iteration budget, not the time —
     /// inspect [`Transient::run`] inputs when this happens).
     pub fn run(nl: &Netlist, tech: &Technology, opts: &TranOptions) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::run_unchecked(nl, tech, opts)
-    }
-
-    /// [`Transient::run`] without the electrical rule check — the
-    /// escape hatch for deliberately degenerate netlists.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transient::run`], minus the ERC gate.
-    pub fn run_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &TranOptions,
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::run_traced_unchecked(nl, tech, opts, tracer))
+        telemetry::with_tracer(|tracer| Self::run_traced(nl, tech, opts, tracer))
     }
 
     /// [`Transient::run`] recording telemetry on the given tracer: one
@@ -434,20 +280,6 @@ impl Transient {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        Self::run_traced_unchecked(nl, tech, opts, tracer)
-    }
-
-    /// [`Transient::run_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transient::run`], minus the ERC gate.
-    pub fn run_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &TranOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
         if opts.dt <= 0.0 || opts.t_stop < opts.dt {
             return Err(SimError::BadParameter(format!(
                 "dt {} / t_stop {}",
@@ -557,21 +389,7 @@ impl Transient {
         tech: &Technology,
         opts: &AdaptiveOptions,
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::run_adaptive_unchecked(nl, tech, opts)
-    }
-
-    /// [`Transient::run_adaptive`] without the electrical rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transient::run_adaptive`], minus the ERC gate.
-    pub fn run_adaptive_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &AdaptiveOptions,
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::run_adaptive_traced_unchecked(nl, tech, opts, tracer))
+        telemetry::with_tracer(|tracer| Self::run_adaptive_traced(nl, tech, opts, tracer))
     }
 
     /// [`Transient::run_adaptive`] recording telemetry on the given
@@ -591,20 +409,6 @@ impl Transient {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        Self::run_adaptive_traced_unchecked(nl, tech, opts, tracer)
-    }
-
-    /// [`Transient::run_adaptive_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Transient::run_adaptive`], minus the ERC gate.
-    pub fn run_adaptive_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &AdaptiveOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
         let sane = opts.dt_min > 0.0
             && opts.dt_min <= opts.dt_max
             && opts.dt_max <= opts.t_stop
@@ -912,14 +716,9 @@ impl Transient {
 /// `t_stop/10`), the natural upper bound on a step that still resolves
 /// the circuit's dynamics. Falls back to `t_stop/50` when the netlist
 /// has no R–C pair. Pass the result as [`AdaptiveOptions::new`]'s
-/// `dt_max`; the LTE controller takes care of the rest.
-///
-/// The `points_per_tau` parameter is **deprecated and ignored**: the
-/// fixed `τ/points_per_tau` march it used to size is obsolete now that
-/// [`Transient::run_adaptive`] controls local truncation error
-/// directly. Fixed-step oracle runs that still want a uniform grid
-/// should divide the returned hint themselves.
-pub fn suggest_dt(nl: &Netlist, t_stop: f64, _points_per_tau: usize) -> f64 {
+/// `dt_max`; the LTE controller takes care of the rest. Fixed-step
+/// oracle runs that want a uniform grid divide the hint themselves.
+pub fn suggest_dt(nl: &Netlist, t_stop: f64) -> f64 {
     let mut r_min = f64::INFINITY;
     let mut c_min = f64::INFINITY;
     for e in nl.elements() {
@@ -1177,21 +976,20 @@ mod tests {
         nl.resistor("R1", a, b, 1e3);
         nl.capacitor("C1", b, Netlist::GROUND, 1e-9);
         // The hint is the fastest time constant itself, not a march
-        // through it — and the deprecated points-per-tau is ignored.
-        let dt = suggest_dt(&nl, 1.0, 50);
+        // through it.
+        let dt = suggest_dt(&nl, 1.0);
         assert!((dt - 1e-6).abs() < 1e-18, "{dt}");
-        assert_eq!(dt, suggest_dt(&nl, 1.0, 7));
         // Slow circuits are capped by the run length.
         let mut slow = Netlist::new();
         let s = slow.node("s");
         slow.resistor("R1", s, Netlist::GROUND, 1e9);
         slow.capacitor("C1", s, Netlist::GROUND, 1.0);
-        assert!((suggest_dt(&slow, 1.0, 50) - 0.1).abs() < 1e-12);
+        assert!((suggest_dt(&slow, 1.0) - 0.1).abs() < 1e-12);
         // No R–C pair: a conservative fraction of the run.
         let mut empty = Netlist::new();
         let c = empty.node("c");
         empty.resistor("R1", c, Netlist::GROUND, 1.0);
-        assert!((suggest_dt(&empty, 1.0, 50) - 0.02).abs() < 1e-12);
+        assert!((suggest_dt(&empty, 1.0) - 0.02).abs() < 1e-12);
     }
 
     /// The RC step netlist used by the adaptive tests: 1 kΩ · 1 µF
@@ -1236,7 +1034,7 @@ mod tests {
         // Tight-tolerance fixed-step TRAP reference.
         let oracle =
             Transient::run(&nl, &t, &TranOptions::new(5e-3, 5e-3 / 2000.0).trapezoidal()).unwrap();
-        let opts = AdaptiveOptions::new(5e-3, suggest_dt(&nl, 5e-3, 0));
+        let opts = AdaptiveOptions::new(5e-3, suggest_dt(&nl, 5e-3));
         let adaptive = Transient::run_adaptive(&nl, &t, &opts).unwrap();
         let mut worst = 0.0f64;
         for (i, &ti) in oracle.time().iter().enumerate() {
@@ -1370,7 +1168,7 @@ mod tests {
         nl.resistor("R3", n2, n3, 5e3);
         nl.capacitor("C3", n3, Netlist::GROUND, 1e-7);
         let t_stop = 5e-3;
-        let hint = suggest_dt(&nl, t_stop, 0);
+        let hint = suggest_dt(&nl, t_stop);
         let opts = AdaptiveOptions::new(t_stop, hint).tolerances(1e-4, 1e-7);
         let adaptive = Transient::run_adaptive(&nl, &t, &opts).unwrap();
         // The oracle grid must resolve the Pwl knot at 1e-6 (t_stop/5000
@@ -1418,46 +1216,5 @@ mod tests {
     #[should_panic(expected = "invalid adaptive step bound/stop")]
     fn adaptive_options_constructor_validates() {
         let _ = AdaptiveOptions::new(1.0, 2.0);
-    }
-
-    #[test]
-    fn ulp_tran_parses_the_documented_clauses() {
-        assert_eq!(tran_from_str("").unwrap(), TranEnv::default());
-        let e = tran_from_str("adaptive,reltol=1e-4,abstol=1e-8").unwrap();
-        assert_eq!(e.mode, Some(TranMode::Adaptive));
-        assert_eq!(e.reltol, Some(1e-4));
-        assert_eq!(e.abstol, Some(1e-8));
-        assert_eq!(
-            tran_from_str(" FIXED ").unwrap().mode,
-            Some(TranMode::Fixed)
-        );
-        // Later clauses win.
-        assert_eq!(
-            tran_from_str("fixed,adaptive").unwrap().mode,
-            Some(TranMode::Adaptive)
-        );
-        // Overrides apply on top of explicit defaults.
-        let mut opts = AdaptiveOptions::new(1.0, 0.1);
-        e.apply(&mut opts);
-        assert_eq!((opts.reltol, opts.abstol), (1e-4, 1e-8));
-    }
-
-    #[test]
-    fn ulp_tran_errors_name_the_variable_and_clause() {
-        let err = tran_from_str("adaptive,verbose").unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "ULP_TRAN: unknown clause `verbose` (expected `adaptive`, `fixed`, \
-             `reltol=<v>` or `abstol=<v>`, comma-separated)"
-        );
-        let err = tran_from_str("reltol=-3").unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "ULP_TRAN: bad number in `reltol=-3` (expected a positive finite float)"
-        );
-        assert!(matches!(
-            tran_from_str("abstol=ten"),
-            Err(TranEnvError::BadNumber { .. })
-        ));
     }
 }

@@ -103,7 +103,7 @@ fn no_convergence_error_is_diagnosable() {
     nl.diode("D1", Netlist::GROUND, a, 1e-15, 1.0);
     let opts = NewtonOptions::default();
     let mut mc = MetricsCollector::new(TraceMode::Summary);
-    let err = DcOperatingPoint::solve_traced_unchecked(&nl, &t, &opts, &mut mc).unwrap_err();
+    let err = DcOperatingPoint::solve_traced(&nl, &t, &opts, &mut mc).unwrap_err();
     match &err {
         SimError::NoConvergence {
             iterations,

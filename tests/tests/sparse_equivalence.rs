@@ -108,7 +108,7 @@ fn sweep_sparse_matches_dense_at_every_point() {
 fn transient_sparse_matches_dense_at_every_step() {
     let tech = Technology::default();
     for (name, nl) in builder_netlists(&tech) {
-        let dt = suggest_dt(&nl, 1.0, 10);
+        let dt = suggest_dt(&nl, 1.0);
         let run = |solver| {
             let opts = TranOptions {
                 newton: newton(solver),

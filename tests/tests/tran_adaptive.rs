@@ -78,7 +78,7 @@ fn max_dev(run: &Transient, reference: &Transient) -> f64 {
 fn adaptive_meets_the_bound_on_all_builder_netlists() {
     let tech = Technology::default();
     for (name, nl) in builder_netlists(&tech) {
-        let tau = suggest_dt(&nl, 1.0, 0);
+        let tau = suggest_dt(&nl, 1.0);
         let t_stop = 50.0 * tau;
         let driven = pulsed_tran_netlist(&nl, tau);
 
@@ -156,7 +156,7 @@ fn adaptive_is_byte_identical_across_worker_counts() {
             .jobs(jobs)
             .run(move |ctx: &mut ulp_exec::TrialCtx| {
                 let (_, nl) = &netlists[ctx.index()];
-                let tau = suggest_dt(nl, 1.0, 0);
+                let tau = suggest_dt(nl, 1.0);
                 let driven = pulsed_tran_netlist(nl, tau);
                 let mut opts = AdaptiveOptions::new(50.0 * tau, tau);
                 opts.newton = newton(SolverKind::Sparse);
