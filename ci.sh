@@ -19,6 +19,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --lib \
     -p ulp-spice -p ulp-stscl
 echo "rustdoc (intra-doc links, warnings denied) OK"
 
+# Golden figure outputs: every figure binary's stdout must match its
+# checked-in results/<bin>.txt byte for byte. Tracing and lint
+# overrides are cleared (the traced footer is not part of a golden);
+# the outputs do not depend on ULP_JOBS.
+golden_out=$(mktemp)
+trap 'rm -f "$golden_out"' EXIT
+goldens=0
+for golden in results/*.txt; do
+    bin=$(basename "$golden" .txt)
+    env -u ULP_TRACE -u ULP_LINT cargo run --release -q -p ulp-bench --bin "$bin" > "$golden_out"
+    cmp "$golden_out" "$golden"
+    goldens=$((goldens + 1))
+done
+test "$goldens" -eq 18
+echo "golden figure outputs ($goldens results/*.txt byte-identical) OK"
+
 # Telemetry path: one bench binary under ULP_TRACE=summary must render
 # the solver-metrics footer, and ULP_TRACE=events must produce valid
 # (non-empty, one-object-per-line) JSONL — so the tracing layer can

@@ -345,7 +345,8 @@ impl TranMethod {
 pub struct TranSpec {
     /// Simulated stop time, s. Strictly positive.
     pub t_stop: f64,
-    /// Optional upper bound on the time step, s.
+    /// Optional upper bound on the time step, s. The parser keeps it in
+    /// `(0, t_stop]`.
     pub dt_max: Option<f64>,
     /// Optional corrector family override.
     pub method: Option<TranMethod>,

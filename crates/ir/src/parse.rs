@@ -509,6 +509,14 @@ fn parse_tran(cur: &mut Cursor<'_>) -> Result<TranSpec, ParseError> {
                     },
                 ));
             }
+            if dt > t_stop {
+                return Err(cur.err_at(
+                    &t,
+                    ParseErrorKind::Expected {
+                        what: "a maximum step no longer than the stop time",
+                    },
+                ));
+            }
             spec.dt_max = Some(dt);
         }
     }
@@ -1141,6 +1149,10 @@ mod tests {
         assert_eq!(
             err(".tran 1u 0\n").to_string(),
             "line 1, col 10: expected a positive maximum step, found `0`"
+        );
+        assert_eq!(
+            err(".tran 1u 1m\n").to_string(),
+            "line 1, col 10: expected a maximum step no longer than the stop time, found `1m`"
         );
         assert_eq!(
             err(".subckt s a\n.tran 1u\n.ends\n").to_string(),

@@ -263,9 +263,12 @@ impl Gen {
         let top_count = 1 + self.below(6);
         d.top = self.items(top_count, &nets, &param_names, &known);
         if self.chance(40) {
+            // The parser refuses a step bound above the stop time, so
+            // the larger of two draws is the stop time.
+            let (a, b) = (self.pos(), self.pos());
             d.tran = Some(TranSpec {
-                t_stop: self.pos(),
-                dt_max: self.chance(60).then(|| self.pos()),
+                t_stop: a.max(b),
+                dt_max: self.chance(60).then_some(a.min(b)),
                 method: match self.below(3) {
                     0 => None,
                     1 => Some(TranMethod::Be),

@@ -5,19 +5,22 @@
 //! frequency. Stimulus comes from the `ac` magnitudes of independent
 //! sources ([`Netlist::vsource_ac`] / [`Netlist::isource_ac`]).
 //!
+//! One symbolic factorization serves the whole sweep (`small_signal_sweep`),
+//! and the same stamp-and-factor loop drives [`crate::noise`].
+//!
 //! This drives experiment E2 (paper Fig. 6d): the pre-amplifier's
 //! frequency response with and without the well-capacitance decoupling
 //! resistor.
 
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::{matrix_coords, voltage_of, SolverKind};
+use crate::mna::{matrix_coords, voltage_of};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
 use ulp_device::Technology;
-use ulp_num::lu::{ComplexLuFactor, SolveError};
-use ulp_num::{Complex, ComplexMatrix, ComplexSparseLu, ComplexSparseMatrix};
+use ulp_num::lu::SolveError;
+use ulp_num::{Complex, ComplexSparseLu, ComplexSparseMatrix};
 
 /// Result of an AC sweep: one complex solution vector per frequency.
 #[derive(Debug, Clone)]
@@ -61,12 +64,24 @@ impl AcResult {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        let dim = nl.unknown_count();
-        let solutions = if SolverKind::Auto.resolve(dim) == SolverKind::Sparse {
-            run_sparse(nl, tech, op, freqs, tracer)?
-        } else {
-            run_dense(nl, tech, op, freqs, tracer)?
-        };
+        let mut solutions = Vec::with_capacity(freqs.len());
+        small_signal_sweep(nl, tech, op, freqs, |pt| {
+            let mut sol = Vec::with_capacity(pt.rhs.len());
+            pt.lu
+                .solve_into(pt.rhs, &mut sol)
+                .map_err(|e| SimError::from_solve(nl, e))?;
+            solutions.push(sol);
+            if tracer.enabled() {
+                tracer.record(&Event::AcPoint {
+                    index: pt.index,
+                    freq: pt.freq,
+                    lu_symbolic: pt.symbolic,
+                    lu_refactor: pt.refactor,
+                    seconds: pt.started.elapsed().as_secs_f64(),
+                });
+            }
+            Ok(())
+        })?;
         Ok(AcResult {
             freqs: freqs.to_vec(),
             solutions,
@@ -117,7 +132,8 @@ impl AcResult {
     }
 }
 
-fn cidx(node: Node) -> Option<usize> {
+/// Matrix row/column of `node`; `None` for ground.
+pub(crate) fn cidx(node: Node) -> Option<usize> {
     if node.is_ground() {
         None
     } else {
@@ -125,16 +141,10 @@ fn cidx(node: Node) -> Option<usize> {
     }
 }
 
-/// Anything the AC stamper can write matrix entries into — the dense
-/// reference matrix or the pattern-reusing sparse one.
+/// Anything the AC stamper can write matrix entries into — the
+/// pattern-reusing sparse matrix, or the dense oracle in the tests.
 trait CSink {
     fn add(&mut self, r: usize, c: usize, v: Complex);
-}
-
-impl CSink for ComplexMatrix {
-    fn add(&mut self, r: usize, c: usize, v: Complex) {
-        self[(r, c)] += v;
-    }
 }
 
 impl CSink for ComplexSparseMatrix {
@@ -179,7 +189,7 @@ impl<M: CSink> CStamper<'_, M> {
 }
 
 /// Stamps the full small-signal system at `omega` about DC solution `x`
-/// into `st` — shared by the dense and sparse paths.
+/// into `st` — the one complex stamper, shared by AC and noise.
 fn stamp_ac<M: CSink>(
     nl: &Netlist,
     tech: &Technology,
@@ -273,62 +283,43 @@ fn stamp_ac<M: CSink>(
     }
 }
 
-/// Reference path: fresh dense factorization at every frequency.
-fn run_dense(
-    nl: &Netlist,
-    tech: &Technology,
-    op: &DcOperatingPoint,
-    freqs: &[f64],
-    tracer: &mut dyn Tracer,
-) -> Result<Vec<Vec<Complex>>, SimError> {
-    let dim = nl.unknown_count();
-    let x = op.solution();
-    let mut solutions = Vec::with_capacity(freqs.len());
-    for (index, &freq) in freqs.iter().enumerate() {
-        let started = Instant::now();
-        let omega = 2.0 * std::f64::consts::PI * freq;
-        let mut matrix = ComplexMatrix::zeros(dim, dim);
-        let mut rhs = vec![Complex::ZERO; dim];
-        let mut st = CStamper {
-            a: &mut matrix,
-            b: &mut rhs,
-        };
-        stamp_ac(nl, tech, x, omega, &mut st);
-        let lu = ComplexLuFactor::new(&matrix).map_err(|e| SimError::from_solve(nl, e))?;
-        let sol = lu.solve(&rhs).map_err(|e| SimError::from_solve(nl, e))?;
-        solutions.push(sol);
-        if tracer.enabled() {
-            tracer.record(&Event::AcPoint {
-                index,
-                freq,
-                lu_symbolic: 1,
-                lu_refactor: 0,
-                seconds: started.elapsed().as_secs_f64(),
-            });
-        }
-    }
-    Ok(solutions)
+/// One factored frequency point of a [`small_signal_sweep`].
+pub(crate) struct SweepPoint<'a> {
+    /// Index within the sweep.
+    pub index: usize,
+    /// Analysis frequency, Hz.
+    pub freq: f64,
+    /// Factorization of Y(jω) = G + jωC at this frequency.
+    pub lu: &'a ComplexSparseLu,
+    /// Stimulus right-hand side from the sources' `ac` magnitudes.
+    pub rhs: &'a [Complex],
+    /// Full symbolic factorizations at this point (0 or 1).
+    pub symbolic: usize,
+    /// Pattern-reusing numeric refactorizations at this point (0 or 1).
+    pub refactor: usize,
+    /// When stamping of this point began.
+    pub started: Instant,
 }
 
-/// Production path: one symbolic analysis for the whole sweep. Only the
-/// jωC entries move between frequencies at a fixed operating point, so
-/// the pivot order chosen at the first frequency is re-used numerically
-/// for every later one, falling back to a full factorization if a pivot
-/// collapses.
-fn run_sparse(
+/// The small-signal engine shared by AC and noise analysis: stamps
+/// Y(jω) about `op` at each of `freqs` and hands the factored point to
+/// `solve`. Only the jωC entries move between frequencies at a fixed
+/// operating point, so one symbolic analysis serves the whole sweep;
+/// its pivot order is re-used numerically at every later frequency,
+/// falling back to a full factorization if a pivot collapses.
+pub(crate) fn small_signal_sweep(
     nl: &Netlist,
     tech: &Technology,
     op: &DcOperatingPoint,
     freqs: &[f64],
-    tracer: &mut dyn Tracer,
-) -> Result<Vec<Vec<Complex>>, SimError> {
+    mut solve: impl FnMut(SweepPoint<'_>) -> Result<(), SimError>,
+) -> Result<(), SimError> {
     let dim = nl.unknown_count();
     let x = op.solution();
     let coords = matrix_coords(nl);
     let mut matrix = ComplexSparseMatrix::from_pattern(dim, &coords);
     let mut rhs = vec![Complex::ZERO; dim];
     let mut lu: Option<ComplexSparseLu> = None;
-    let mut solutions = Vec::with_capacity(freqs.len());
     for (index, &freq) in freqs.iter().enumerate() {
         let started = Instant::now();
         let omega = 2.0 * std::f64::consts::PI * freq;
@@ -360,32 +351,107 @@ fn run_sparse(
             );
             symbolic = 1;
         }
-        let factored = lu.as_ref().expect("factorization exists after factor step");
-        let mut sol = vec![Complex::ZERO; dim];
-        factored
-            .solve_into(&rhs, &mut sol)
-            .map_err(|e| SimError::from_solve(nl, e))?;
-        solutions.push(sol);
-        if tracer.enabled() {
-            tracer.record(&Event::AcPoint {
-                index,
-                freq,
-                lu_symbolic: symbolic,
-                lu_refactor: refactor,
-                seconds: started.elapsed().as_secs_f64(),
-            });
-        }
+        solve(SweepPoint {
+            index,
+            freq,
+            lu: lu.as_ref().expect("factorization exists after factor step"),
+            rhs: &rhs,
+            symbolic,
+            refactor,
+            started,
+        })?;
     }
-    Ok(solutions)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ulp_num::interp;
+    use ulp_num::lu::ComplexLuFactor;
+    use ulp_num::ComplexMatrix;
 
     fn tech() -> Technology {
         Technology::default()
+    }
+
+    impl CSink for ComplexMatrix {
+        fn add(&mut self, r: usize, c: usize, v: Complex) {
+            self[(r, c)] += v;
+        }
+    }
+
+    /// Dense oracle: the same stamps into a dense matrix and a fresh
+    /// full-pivoted LU at every frequency.
+    fn dense_ac(
+        nl: &Netlist,
+        t: &Technology,
+        op: &DcOperatingPoint,
+        freqs: &[f64],
+    ) -> Vec<Vec<Complex>> {
+        let dim = nl.unknown_count();
+        freqs
+            .iter()
+            .map(|&f| {
+                let mut matrix = ComplexMatrix::zeros(dim, dim);
+                let mut rhs = vec![Complex::ZERO; dim];
+                let mut st = CStamper {
+                    a: &mut matrix,
+                    b: &mut rhs,
+                };
+                stamp_ac(nl, t, op.solution(), 2.0 * std::f64::consts::PI * f, &mut st);
+                ComplexLuFactor::new(&matrix).unwrap().solve(&rhs).unwrap()
+            })
+            .collect()
+    }
+
+    fn assert_matches_dense_oracle(nl: &Netlist, t: &Technology, min_dim: usize) {
+        assert!(nl.unknown_count() >= min_dim);
+        let op = DcOperatingPoint::solve(nl, t).unwrap();
+        let freqs = interp::decade_sweep(1.0, 1e9, 10);
+        let ac = AcResult::run(nl, t, &op, &freqs).unwrap();
+        let dense = dense_ac(nl, t, &op, &freqs);
+        for (i, want) in dense.iter().enumerate() {
+            let scale = want.iter().map(|z| z.abs()).fold(1.0, f64::max);
+            for (k, w) in want.iter().enumerate() {
+                let got = ac.solutions[i][k];
+                assert!(
+                    (got - *w).abs() <= 1e-12 * scale,
+                    "f = {:e}, unknown {k}: sparse {got:?} vs dense {w:?}",
+                    freqs[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_sweep_matches_dense_oracle_on_rc() {
+        // Three unknowns: below `AUTO_SPARSE_MIN_DIM`, the size at which
+        // the real-valued workspace would still pick the dense backend.
+        let mut nl = Netlist::new();
+        let inp = nl.node("in");
+        let out = nl.node("out");
+        nl.vsource_ac("V1", inp, Netlist::GROUND, 0.0, 1.0);
+        nl.resistor("R1", inp, out, 1e3);
+        nl.capacitor("C1", out, Netlist::GROUND, 159.15e-9);
+        assert_eq!(nl.unknown_count(), 3);
+        assert_matches_dense_oracle(&nl, &tech(), 3);
+    }
+
+    #[test]
+    fn sparse_sweep_matches_dense_oracle_on_mos_stage() {
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let g = nl.node("g");
+        let d = nl.node("d");
+        nl.vsource("VDD", vdd, Netlist::GROUND, 1.2);
+        nl.vsource_ac("VG", g, Netlist::GROUND, 0.35, 1.0);
+        nl.resistor("RD", vdd, d, 10e6);
+        nl.capacitor("CL", d, Netlist::GROUND, 1e-13);
+        nl.capacitor("CGD", g, d, 1e-15);
+        let dev = ulp_device::Mosfet::new(ulp_device::Polarity::Nmos, 2e-6, 1e-6);
+        nl.mosfet("M1", d, g, Netlist::GROUND, Netlist::GROUND, dev);
+        assert_matches_dense_oracle(&nl, &tech(), 4);
     }
 
     #[test]

@@ -191,13 +191,15 @@ const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11];
 /// This is the raw Newton driver and the one public solve path that
 /// runs **no** electrical rule check: every analysis entry point
 /// ([`DcOperatingPoint::solve`], [`crate::tran::Transient::run`],
-/// [`crate::sweep::dc_sweep`], [`crate::ac::AcResult::run`]) gates its
-/// netlist through [`crate::erc::gate`] first. Call it directly only to
-/// solve a deliberately degenerate netlist (gmin then pins a floating
-/// node near 0 V instead of failing cleanly).
+/// [`crate::sweep::dc_sweep`], [`crate::ac::AcResult::run`],
+/// [`crate::noise::noise_analysis`]) gates its netlist through
+/// [`crate::erc::gate`] first. Call it directly only to solve a
+/// deliberately degenerate netlist (gmin then pins a floating node near
+/// 0 V instead of failing cleanly).
 ///
 /// # Errors
 ///
+/// [`SimError::BadParameter`] if the netlist has no unknowns;
 /// [`SimError::Singular`] (naming the failed node or branch) if the
 /// Jacobian is singular; [`SimError::NoConvergence`] (carrying the
 /// iterations used, the gmin, and the residuals of the failing attempt)
@@ -212,6 +214,7 @@ pub fn newton_solve_gmin_stepping_traced(
     analysis: &'static str,
     tracer: &mut dyn Tracer,
 ) -> Result<NewtonResult, SimError> {
+    crate::mna::require_unknowns(nl)?;
     let mut ws = MnaWorkspace::new(nl, opts.solver);
     let mut x = Vec::with_capacity(x0.len());
     let mut x_new = Vec::with_capacity(x0.len());

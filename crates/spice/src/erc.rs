@@ -35,8 +35,9 @@
 //!
 //! The checker runs by default inside every analysis entry point
 //! ([`crate::dcop::DcOperatingPoint::solve`], [`crate::sweep::dc_sweep`],
-//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`] and
-//! their `*_traced` twins); only the raw Newton driver
+//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`],
+//! [`crate::noise::noise_analysis`] and their `*_traced` twins); only
+//! the raw Newton driver
 //! ([`crate::dcop::newton_solve_gmin_stepping_traced`]) solves without
 //! it. A clean [`gate`] verdict is memoised on the netlist and
 //! reused until the netlist is mutated, so repeated analyses of one
@@ -105,11 +106,13 @@ pub fn check(nl: &Netlist) -> ErcReport {
 ///
 /// [`SimError::Erc`] carrying the full report when it contains at least
 /// one error-severity diagnostic; [`SimError::BadParameter`] naming the
-/// rejected entry when `ULP_LINT` is set but malformed.
+/// rejected entry when `ULP_LINT` is set but malformed, or when the
+/// netlist has no unknowns (an empty design).
 pub fn gate(nl: &Netlist) -> Result<(), SimError> {
     if nl.erc_clean_cached() {
         return Ok(());
     }
+    crate::mna::require_unknowns(nl)?;
     let cfg = crate::lint::LintConfig::try_from_env()
         .map_err(|e| SimError::BadParameter(e.to_string()))?;
     let report = crate::lint::run_ctx(&crate::lint::LintContext::new(nl), &cfg);

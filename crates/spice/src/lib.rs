@@ -18,7 +18,9 @@
 //! * [`tran`] — fixed-step transient analysis (backward Euler or
 //!   trapezoidal companion models) with a full Newton solve per step;
 //! * [`ac`] — complex-valued small-signal analysis around the DC
-//!   operating point.
+//!   operating point;
+//! * [`noise`] — output-referred thermal and shot noise, solved on the
+//!   same small-signal sweep as [`ac`].
 //!
 //! Deliberate scope limits, documented here so users are not surprised:
 //! no inductors (none appear in the paper's circuits) and no implicit
@@ -39,9 +41,10 @@
 //!   verbatim as the bitwise-stable oracle the sparse path is tested
 //!   against (to 1e-12 in the ∞-norm; see `tests/sparse_equivalence`).
 //!
-//! Selection: [`dcop::NewtonOptions::solver`] if set to something other
-//! than [`mna::SolverKind::Auto`], else the `ULP_SOLVER` environment
-//! variable (`dense`/`sparse`/`auto`), else dimension-based auto.
+//! Selection: [`dcop::NewtonOptions::solver`]; its default,
+//! [`mna::SolverKind::Auto`], goes by system dimension alone. The
+//! small-signal analyses ([`ac`], [`noise`]) always run one sparse
+//! complex sweep.
 //!
 //! # Example
 //!
@@ -68,8 +71,8 @@
 //! # Static analysis / ERC
 //!
 //! Every analysis entry point ([`dcop::DcOperatingPoint::solve`],
-//! [`sweep::dc_sweep`], [`tran::Transient::run`], [`ac::AcResult::run`])
-//! first runs the electrical rule checker ([`erc::check`]) and refuses
+//! [`sweep::dc_sweep`], [`tran::Transient::run`], [`ac::AcResult::run`],
+//! [`noise::noise_analysis`]) first runs the electrical rule checker ([`erc::check`]) and refuses
 //! netlists whose MNA system would be singular or meaningless: floating
 //! nodes, loops of voltage sources, current sources with no return
 //! path, undriven MOS gates, duplicate instance names and non-finite

@@ -22,7 +22,6 @@
 //! factorization from [`ulp_num::sparse`].
 
 use crate::netlist::{Element, Netlist, Node};
-use std::fmt;
 use ulp_num::lu::{LuFactor, SolveError};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
 use ulp_num::Matrix;
@@ -342,9 +341,8 @@ pub fn assemble_into(
 /// Which linear-solver backend an [`MnaWorkspace`] should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Resolve per system: honour the `ULP_SOLVER` environment variable
-    /// (`dense` / `sparse`) when set, otherwise use the sparse path for
-    /// systems of dimension ≥ [`AUTO_SPARSE_MIN_DIM`] and dense below.
+    /// Resolve per system by size alone: the sparse path for systems of
+    /// dimension ≥ [`AUTO_SPARSE_MIN_DIM`], dense below.
     #[default]
     Auto,
     /// Always the dense reference path (fresh full-pivoted LU per solve).
@@ -359,89 +357,26 @@ pub enum SolverKind {
 /// sparse bookkeeping cannot pay for itself.
 pub const AUTO_SPARSE_MIN_DIM: usize = 4;
 
-/// A malformed `ULP_SOLVER` environment variable.
-///
-/// Follows the strict-environment precedent of `ULP_JOBS`
-/// (`ulp_exec::JobsError`) and `ULP_LINT` (`LintEnvError`): a value
-/// that cannot mean what the user intended is a loud diagnostic, never
-/// a silent fallback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolverEnvError {
-    /// The variable is set to something other than
-    /// `auto`/`dense`/`sparse`.
-    Unknown {
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// The variable is set but empty.
-    Empty,
-}
-
-impl fmt::Display for SolverEnvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverEnvError::Unknown { value } => write!(
-                f,
-                "ULP_SOLVER: unknown solver `{value}` (expected `auto`, `dense` or `sparse`)"
-            ),
-            SolverEnvError::Empty => write!(
-                f,
-                "ULP_SOLVER: empty value (expected `auto`, `dense` or `sparse`, or unset)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SolverEnvError {}
-
-/// Parses a solver-backend name: `auto`, `dense` or `sparse`
-/// (lower-case only, matching how the kinds print in telemetry).
-pub fn solver_from_str(value: &str) -> Result<SolverKind, SolverEnvError> {
-    match value {
-        "auto" => Ok(SolverKind::Auto),
-        "dense" => Ok(SolverKind::Dense),
-        "sparse" => Ok(SolverKind::Sparse),
-        "" => Err(SolverEnvError::Empty),
-        other => Err(SolverEnvError::Unknown {
-            value: other.to_string(),
-        }),
-    }
-}
-
-/// Reads `ULP_SOLVER`. `Ok(None)` when unset; otherwise the strictly
-/// parsed kind or the typed error.
-pub fn solver_from_env() -> Result<Option<SolverKind>, SolverEnvError> {
-    match std::env::var("ULP_SOLVER") {
-        Ok(v) => solver_from_str(&v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
 impl SolverKind {
-    /// # Panics
-    ///
-    /// Panics with the [`SolverEnvError`] diagnostic when `ULP_SOLVER`
-    /// is set to an unrecognized value — the same contract as
-    /// `LintConfig::from_env`: a typo must not silently change which
-    /// backend certifies a result.
+    /// The concrete backend for a system of dimension `dim`.
     pub(crate) fn resolve(self, dim: usize) -> SolverKind {
-        let auto = |dim: usize| {
-            if dim >= AUTO_SPARSE_MIN_DIM {
-                SolverKind::Sparse
-            } else {
-                SolverKind::Dense
-            }
-        };
         match self {
-            SolverKind::Dense => SolverKind::Dense,
-            SolverKind::Sparse => SolverKind::Sparse,
-            SolverKind::Auto => match solver_from_env() {
-                Ok(Some(SolverKind::Auto)) | Ok(None) => auto(dim),
-                Ok(Some(kind)) => kind,
-                Err(e) => panic!("{e}"),
-            },
+            SolverKind::Auto if dim >= AUTO_SPARSE_MIN_DIM => SolverKind::Sparse,
+            SolverKind::Auto => SolverKind::Dense,
+            kind => kind,
         }
     }
+}
+
+/// Refuses a netlist with no unknowns (an empty design), which no
+/// workspace can be built for.
+pub(crate) fn require_unknowns(nl: &Netlist) -> Result<(), crate::SimError> {
+    if nl.unknown_count() == 0 {
+        return Err(crate::SimError::BadParameter(
+            "netlist has no unknowns: nothing to solve".to_string(),
+        ));
+    }
+    Ok(())
 }
 
 /// Number of rows a permutation moved away from their natural position —
@@ -712,11 +647,13 @@ pub struct MnaWorkspace {
 
 impl MnaWorkspace {
     /// Builds a workspace for `nl`, resolving `solver` against the system
-    /// dimension and the `ULP_SOLVER` environment variable.
+    /// dimension.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist has no unknowns.
+    /// Panics if the netlist has no unknowns. The analysis entries and
+    /// the raw Newton driver refuse such a netlist with
+    /// [`crate::SimError::BadParameter`] before they get here.
     pub fn new(nl: &Netlist, solver: SolverKind) -> Self {
         let dim = nl.unknown_count();
         let nn = nl.node_count() - 1;
@@ -1486,43 +1423,12 @@ mod tests {
     }
 
     #[test]
-    fn solver_from_str_accepts_each_kind() {
-        assert_eq!(solver_from_str("auto"), Ok(SolverKind::Auto));
-        assert_eq!(solver_from_str("dense"), Ok(SolverKind::Dense));
-        assert_eq!(solver_from_str("sparse"), Ok(SolverKind::Sparse));
-    }
-
-    #[test]
-    fn solver_from_str_rejects_unknown_values() {
-        let err = solver_from_str("Dense").unwrap_err();
-        assert_eq!(
-            err,
-            SolverEnvError::Unknown {
-                value: "Dense".to_string()
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "ULP_SOLVER: unknown solver `Dense` (expected `auto`, `dense` or `sparse`)"
-        );
-        assert!(solver_from_str("cholesky").is_err());
-        assert!(solver_from_str(" dense").is_err());
-    }
-
-    #[test]
-    fn solver_from_str_rejects_empty() {
-        assert_eq!(solver_from_str("").unwrap_err(), SolverEnvError::Empty);
-        assert_eq!(
-            SolverEnvError::Empty.to_string(),
-            "ULP_SOLVER: empty value (expected `auto`, `dense` or `sparse`, or unset)"
-        );
-    }
-
-    #[test]
     fn explicit_kinds_resolve_without_consulting_the_environment() {
-        // Dense/Sparse never read ULP_SOLVER, at any dimension.
+        // Dense/Sparse are kept at any dimension; Auto goes by size only.
         assert_eq!(SolverKind::Dense.resolve(1000), SolverKind::Dense);
         assert_eq!(SolverKind::Sparse.resolve(1), SolverKind::Sparse);
+        assert_eq!(SolverKind::Auto.resolve(AUTO_SPARSE_MIN_DIM - 1), SolverKind::Dense);
+        assert_eq!(SolverKind::Auto.resolve(AUTO_SPARSE_MIN_DIM), SolverKind::Sparse);
     }
 
     #[test]

@@ -10,22 +10,23 @@
 //!   (the subthreshold limit of the channel thermal noise — correct for
 //!   every device in this workspace's circuits).
 //!
-//! For each analysis frequency the complex MNA matrix is factored once
-//! and back-substituted per source with a unit current injection, giving
-//! each element's transfer to the designated output node; the summed
-//! PSD is integrated (trapezoidal) over the sweep for the total RMS.
-//! Independent sources are quiet (their AC magnitudes are ignored
+//! The small-signal system is the AC analysis's: the same stamps and the
+//! same sparse sweep ([`crate::ac`]), one symbolic factorization reused
+//! across every frequency. At each frequency the factored system is
+//! back-substituted once per source with a unit current injection,
+//! giving each element's transfer to the designated output node; the
+//! summed PSD is integrated (trapezoidal) over the sweep for the total
+//! RMS. Independent sources are quiet (their AC magnitudes are ignored
 //! here).
 
+use crate::ac::{cidx, small_signal_sweep};
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
 use crate::mna::voltage_of;
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
-use std::time::Instant;
 use ulp_device::Technology;
-use ulp_num::lu::ComplexLuFactor;
-use ulp_num::{Complex, ComplexMatrix};
+use ulp_num::Complex;
 
 /// Boltzmann constant, J/K.
 pub const BOLTZMANN: f64 = 1.380_649e-23;
@@ -128,122 +129,18 @@ fn noise_sources(nl: &Netlist, tech: &Technology, op: &DcOperatingPoint) -> Vec<
     out
 }
 
-/// Builds the small-signal MNA matrix at one frequency (identical to
-/// the AC analysis stamps, sources quiet).
-fn small_signal_matrix(
-    nl: &Netlist,
-    tech: &Technology,
-    op: &DcOperatingPoint,
-    freq: f64,
-) -> ComplexMatrix {
-    let nn = nl.node_count() - 1;
-    let dim = nl.unknown_count();
-    let omega = 2.0 * std::f64::consts::PI * freq;
-    let x = op.solution();
-    let mut m = ComplexMatrix::zeros(dim, dim);
-    let idx = |node: Node| -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    };
-    let admittance = |mm: &mut ComplexMatrix, p: Node, n: Node, y: Complex| {
-        if let Some(i) = idx(p) {
-            mm[(i, i)] += y;
-            if let Some(j) = idx(n) {
-                mm[(i, j)] -= y;
-            }
-        }
-        if let Some(j) = idx(n) {
-            mm[(j, j)] += y;
-            if let Some(i) = idx(p) {
-                mm[(j, i)] -= y;
-            }
-        }
-    };
-    let transconductance = |mm: &mut ComplexMatrix, p: Node, n: Node, cp: Node, cn: Node, gm: f64| {
-        for (out, sign) in [(p, 1.0), (n, -1.0)] {
-            if let Some(r) = idx(out) {
-                if let Some(c) = idx(cp) {
-                    mm[(r, c)] += Complex::from_re(sign * gm);
-                }
-                if let Some(c) = idx(cn) {
-                    mm[(r, c)] -= Complex::from_re(sign * gm);
-                }
-            }
-        }
-    };
-    for i in 0..nn {
-        m[(i, i)] += Complex::from_re(1e-15);
-    }
-    let mut branch = nn;
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                admittance(&mut m, *a, *b, Complex::from_re(1.0 / ohms));
-            }
-            Element::Capacitor { a, b, farads, .. } => {
-                admittance(&mut m, *a, *b, Complex::new(0.0, omega * farads));
-            }
-            Element::Vsource { p, n, .. } | Element::Vcvs { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = idx(*p) {
-                    m[(i, rb)] += Complex::ONE;
-                    m[(rb, i)] += Complex::ONE;
-                }
-                if let Some(j) = idx(*n) {
-                    m[(j, rb)] -= Complex::ONE;
-                    m[(rb, j)] -= Complex::ONE;
-                }
-                if let Element::Vcvs { cp, cn, gain, .. } = e {
-                    if let Some(c) = idx(*cp) {
-                        m[(rb, c)] -= Complex::from_re(*gain);
-                    }
-                    if let Some(c) = idx(*cn) {
-                        m[(rb, c)] += Complex::from_re(*gain);
-                    }
-                }
-            }
-            Element::Isource { .. } => {}
-            Element::Vccs { p, n, cp, cn, gm, .. } => {
-                transconductance(&mut m, *p, *n, *cp, *cn, *gm);
-            }
-            Element::Diode { p, n, is_sat, n_id, .. } => {
-                let v = voltage_of(op.solution(), *p) - voltage_of(op.solution(), *n);
-                let vt = n_id * tech.thermal_voltage();
-                let g = (is_sat / vt * (v / vt).min(40.0).exp()).max(1e-18);
-                admittance(&mut m, *p, *n, Complex::from_re(g));
-            }
-            Element::Mos { d, g, s, b, dev, .. } => {
-                let vb = voltage_of(x, *b);
-                let mos = dev.operating_point(
-                    tech,
-                    voltage_of(x, *g) - vb,
-                    voltage_of(x, *s) - vb,
-                    voltage_of(x, *d) - vb,
-                );
-                transconductance(&mut m, *d, *s, *g, *b, mos.gm);
-                transconductance(&mut m, *d, *s, *s, *b, mos.gms);
-                transconductance(&mut m, *d, *s, *d, *b, mos.gds);
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                let v = voltage_of(x, *a) - voltage_of(x, *b);
-                admittance(&mut m, *a, *b, Complex::from_re(load.conductance(v, *iss).max(1e-18)));
-            }
-        }
-    }
-    m
-}
-
 /// Runs the noise analysis: output-referred noise at `output` over the
 /// frequency sweep `freqs` (must be ascending for the integration).
 ///
+/// Runs the electrical rule check ([`crate::erc::gate`]) once up
+/// front, like every other analysis entry.
+///
 /// # Errors
 ///
-/// [`SimError::LinearSolve`] if the small-signal system is singular;
-/// [`SimError::BadParameter`] for an unusable sweep.
+/// [`SimError::Erc`] when the netlist fails the rule check;
+/// [`SimError::Singular`]/[`SimError::LinearSolve`] if the small-signal
+/// system is singular at some frequency; [`SimError::BadParameter`] for
+/// an unusable sweep or a ground output node.
 pub fn noise_analysis(
     nl: &Netlist,
     tech: &Technology,
@@ -269,6 +166,7 @@ pub fn noise_analysis_traced(
     freqs: &[f64],
     tracer: &mut dyn Tracer,
 ) -> Result<NoiseReport, SimError> {
+    crate::erc::gate(nl)?;
     if freqs.len() < 2 || freqs.windows(2).any(|w| w[1] <= w[0]) {
         return Err(SimError::BadParameter(
             "noise sweep needs at least two ascending frequencies".to_string(),
@@ -285,37 +183,39 @@ pub fn noise_analysis_traced(
     let mut output_psd = Vec::with_capacity(freqs.len());
     // Per-source PSD at each frequency for the contribution integrals.
     let mut per_source: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); sources.len()];
-    let enabled = tracer.enabled();
-    for (fi, &f) in freqs.iter().enumerate() {
-        let t0 = enabled.then(Instant::now);
-        let m = small_signal_matrix(nl, tech, op, f);
-        let lu = ComplexLuFactor::new(&m)?;
+    let mut rhs = vec![Complex::ZERO; dim];
+    let mut x = Vec::with_capacity(dim);
+    small_signal_sweep(nl, tech, op, freqs, |pt| {
         let mut total = 0.0;
         for (k, src) in sources.iter().enumerate() {
-            let mut rhs = vec![Complex::ZERO; dim];
             // Unit noise current drawn from p, injected into n.
-            if !src.p.is_ground() {
-                rhs[src.p.index() - 1] -= Complex::ONE;
+            let (p, n) = (cidx(src.p), cidx(src.n));
+            if let Some(i) = p {
+                rhs[i] -= Complex::ONE;
             }
-            if !src.n.is_ground() {
-                rhs[src.n.index() - 1] += Complex::ONE;
+            if let Some(j) = n {
+                rhs[j] += Complex::ONE;
             }
-            let x = lu.solve(&rhs)?;
+            pt.lu
+                .solve_into(&rhs, &mut x)
+                .map_err(|e| SimError::from_solve(nl, e))?;
+            p.into_iter().chain(n).for_each(|i| rhs[i] = Complex::ZERO);
             let transfer = x[out_idx].norm_sqr(); // |Z|² (V/A)²
             let psd = transfer * src.psd;
             per_source[k].push(psd);
             total += psd;
         }
         output_psd.push(total);
-        if let Some(t0) = t0 {
+        if tracer.enabled() {
             tracer.record(&Event::NoisePoint {
-                index: fi,
-                freq: f,
+                index: pt.index,
+                freq: pt.freq,
                 sources: sources.len(),
-                seconds: t0.elapsed().as_secs_f64(),
+                seconds: pt.started.elapsed().as_secs_f64(),
             });
         }
-    }
+        Ok(())
+    })?;
     // Trapezoidal integration over the sweep.
     let integrate = |ys: &[f64]| -> f64 {
         freqs

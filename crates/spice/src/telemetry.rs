@@ -198,7 +198,7 @@ pub enum Event {
         /// Analysis frequency, Hz.
         freq: f64,
         /// Full symbolic factorizations at this point (1 for the first
-        /// frequency of a sparse run and for every dense point).
+        /// frequency, and wherever a reused pivot collapsed).
         lu_symbolic: usize,
         /// Pattern-reusing numeric refactorizations at this point.
         lu_refactor: usize,

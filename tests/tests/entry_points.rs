@@ -7,12 +7,17 @@
 //!   traced twin refuse with [`SimError::Erc`];
 //! * on a clean netlist, the default form returns bit-identical results
 //!   to its traced twin run with a [`NullTracer`] — the default form is
-//!   exactly the traced twin behind the global tracer.
+//!   exactly the traced twin behind the global tracer;
+//! * on the empty design (`.end` alone, parsed and flattened), both
+//!   forms and the raw Newton driver refuse with
+//!   [`SimError::BadParameter`] instead of panicking.
 
 use ulp_device::Technology;
 use ulp_spice::ac::AcResult;
-use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
-use ulp_spice::netlist::Waveform;
+use ulp_spice::dcop::{newton_solve_gmin_stepping_traced, DcOperatingPoint, NewtonOptions};
+use ulp_spice::mna::AssembleMode;
+use ulp_spice::netlist::{Node, Waveform};
+use ulp_spice::noise::{noise_analysis, noise_analysis_traced, NoiseReport};
 use ulp_spice::sweep::{dc_sweep, dc_sweep_traced, dc_sweep_with, SweepResult};
 use ulp_spice::telemetry::{NullTracer, Tracer};
 use ulp_spice::tran::{AdaptiveOptions, TranOptions, Transient};
@@ -66,6 +71,19 @@ fn ac(nl: &Netlist, r: AcResult) -> Vec<f64> {
     v
 }
 
+/// The noise output node; ground when the netlist has no `out` (the
+/// gate refuses such a netlist before the node is read).
+fn out(nl: &Netlist) -> Node {
+    nl.find_node("out").unwrap_or(Netlist::GROUND)
+}
+
+fn noise(r: NoiseReport) -> Vec<f64> {
+    let mut v = r.output_psd;
+    v.extend(r.contributions.iter().map(|c| c.output_power));
+    v.push(r.output_rms);
+    v
+}
+
 /// Every public analysis entry, paired with its traced twin.
 fn entries() -> Vec<(&'static str, Plain, Traced)> {
     vec![
@@ -112,6 +130,11 @@ fn entries() -> Vec<(&'static str, Plain, Traced)> {
             |nl, t, op| AcResult::run(nl, t, op, &FREQS).map(|r| ac(nl, r)),
             |nl, t, op, tr| AcResult::run_traced(nl, t, op, &FREQS, tr).map(|r| ac(nl, r)),
         ),
+        (
+            "noise_analysis",
+            |nl, t, op| noise_analysis(nl, t, op, out(nl), &FREQS).map(noise),
+            |nl, t, op, tr| noise_analysis_traced(nl, t, op, out(nl), &FREQS, tr).map(noise),
+        ),
     ]
 }
 
@@ -156,8 +179,8 @@ fn floating() -> Netlist {
 fn every_entry_refuses_a_floating_node() {
     let t = Technology::default();
     let nl = floating();
-    // The AC entries need an operating point; the gate fires before it
-    // is read, so the clean netlist's point serves.
+    // The AC and noise entries need an operating point; the gate fires
+    // before it is read, so the clean netlist's point serves.
     let op = DcOperatingPoint::solve(&clean(), &t).unwrap();
     for (name, plain, traced) in entries() {
         for (form, out) in [
@@ -191,4 +214,34 @@ fn every_default_entry_is_its_traced_twin_bit_for_bit() {
             "{name}: default and traced forms differ"
         );
     }
+}
+
+#[test]
+fn every_entry_refuses_the_empty_design() {
+    let t = Technology::default();
+    let design = ulp_ir::parse(".end\n").unwrap();
+    let nl = ulp_ir::flatten(&design).unwrap();
+    assert_eq!(nl.unknown_count(), 0);
+    let op = DcOperatingPoint::solve(&clean(), &t).unwrap();
+    let refused = |name: &str, out: Result<usize, SimError>| match out {
+        Err(SimError::BadParameter(msg)) => assert!(
+            msg.contains("no unknowns"),
+            "{name}: unexpected message `{msg}`"
+        ),
+        other => panic!("{name}: expected SimError::BadParameter, got {other:?}"),
+    };
+    for (name, plain, traced) in entries() {
+        refused(name, plain(&nl, &t, &op).map(|v| v.len()));
+        refused(name, traced(&nl, &t, &op, &mut NullTracer).map(|v| v.len()));
+    }
+    let raw = newton_solve_gmin_stepping_traced(
+        &nl,
+        &t,
+        AssembleMode::Dc,
+        &[],
+        &NewtonOptions::default(),
+        "dcop",
+        &mut NullTracer,
+    );
+    refused("newton_solve_gmin_stepping_traced", raw.map(|r| r.x.len()));
 }
