@@ -142,6 +142,38 @@ cmp BENCH_tran_adaptive.json results/tran_adaptive.stability.json
 rm -f results/tran_adaptive.stability.json
 echo "solver bench (sparse vs dense + adaptive byte stability) OK"
 
+# Scaling gate: on the layered benchmark's chain_op workload (a
+# 3010-unknown scl_buf chain from text to DC operating point), flatten
+# and the symbolic LU factorization must stay near-linear in circuit
+# size. The benchmark is only run here; its traced run fits each
+# log-log slope between a third of the chain and the full chain. The
+# run must be correct with no failed job. The slopes are host timings,
+# so a reading above the bar is retried, up to three attempts in all.
+slope_reading() {
+    local json flatten symbolic
+    json=$(cargo run --release --offline -q --manifest-path layerbench/Cargo.toml -- \
+        --workload chain_op --seed 1 --seconds 3 --trace 1 | tail -1)
+    if ! echo "$json" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,'; then
+        echo "FAIL: layerbench chain_op is not correct or failed jobs: ${json:0:200}"
+        exit 1
+    fi
+    flatten=$(echo "$json" | grep -o '"ir.flatten.slope": {"value": [^,]*' | sed 's/.*: //')
+    symbolic=$(echo "$json" | grep -o '"spice.mna.symbolic.slope": {"value": [^,]*' | sed 's/.*: //')
+    echo "chain_op slopes: flatten n^$flatten, symbolic LU n^$symbolic (bar n^1.4)"
+    awk -v f="$flatten" -v s="$symbolic" \
+        'BEGIN { exit !(f != "" && s != "" && f <= 1.4 && s <= 1.4) }'
+}
+for attempt in 1 2 3; do
+    if slope_reading; then
+        break
+    fi
+    if [ "$attempt" -eq 3 ]; then
+        echo "FAIL: chain_op slopes above n^1.4 in 3 attempts"
+        exit 1
+    fi
+done
+echo "layered benchmark scaling gate (flatten + symbolic LU <= n^1.4) OK"
+
 # Scaling bench: always run it (it asserts serial == parallel results);
 # only hold it to the >=2x speedup bar when the host actually has the
 # cores to show one.

@@ -8,7 +8,10 @@
 //! and an internal net `cs` of that scope becomes node `x1.x2.cs`.
 //! Ports do not create nodes — they bind to the parent net the
 //! instance card connects, so the parent's name wins. The net `0` is
-//! the global ground at every depth.
+//! the global ground at every depth. Because `.` separates the levels,
+//! the parser rejects it in net names
+//! ([`ParseErrorKind::DottedNet`](crate::ParseErrorKind::DottedNet)),
+//! so no written net can alias an internal one.
 //!
 //! ## Parameters
 //!
@@ -442,6 +445,26 @@ mod tests {
         let mut nl = nl;
         let mid = nl.node("X1.X2.mid");
         assert_eq!(nl.node_name(mid), "X1.X2.mid");
+    }
+
+    #[test]
+    fn a_top_level_net_cannot_alias_an_instance_net() {
+        use crate::parse::ParseErrorKind;
+        use ulp_spice::netlist::Element;
+        // `X1.mid` is the flattened name of X1's internal net `mid`; a
+        // top-level net spelled the same way would silently merge with it.
+        let text =
+            ".subckt half a\nR1 a mid 1k\nR2 mid 0 1k\n.ends\nX1 in half\nR9 NET 0 1k\n.end\n";
+        let e = parse(&text.replace("NET", "X1.mid")).unwrap_err();
+        assert_eq!((e.line, e.col, e.kind), (6, 4, ParseErrorKind::DottedNet));
+        // Spelled without the separator, it is a net of its own.
+        let nl = flatten(&parse(&text.replace("NET", "X1_mid")).unwrap()).unwrap();
+        let top = |name: &str| match nl.element(name) {
+            Some(Element::Resistor { a, .. }) => *a,
+            e => panic!("unexpected element {e:?}"),
+        };
+        assert_eq!(nl.node_name(top("X1.R2")), "X1.mid");
+        assert_eq!(nl.node_name(top("R9")), "X1_mid");
     }
 
     #[test]

@@ -93,6 +93,10 @@ pub enum ParseErrorKind {
     AfterEnd,
     /// Leftover token after a complete card.
     Trailing,
+    /// A net name on a device or instance card contains `.`, the
+    /// hierarchy separator of flattened names: top-level `X1.mid` would
+    /// silently merge with instance `X1`'s internal net `mid`.
+    DottedNet,
 }
 
 impl fmt::Display for ParseError {
@@ -149,6 +153,10 @@ impl fmt::Display for ParseError {
             }
             ParseErrorKind::AfterEnd => write!(f, "card after .end"),
             ParseErrorKind::Trailing => write!(f, "unexpected trailing token `{tok}`"),
+            ParseErrorKind::DottedNet => write!(
+                f,
+                "net name `{tok}` contains `.`, which separates hierarchy levels in flattened names"
+            ),
         }
     }
 }
@@ -290,11 +298,20 @@ impl<'a> Cursor<'a> {
     }
 
     /// Node-name position: any token without `=` (which would indicate
-    /// a key=value pair reaching a position expecting a node).
+    /// a key=value pair reaching a position expecting a node) and
+    /// without `.` (see [`Cursor::net`]).
     fn expect_node(&mut self) -> Result<String, ParseError> {
         let t = self.expect("a node name")?;
         if t.text.contains('=') {
             return Err(self.err_at(&t, ParseErrorKind::Expected { what: "a node name" }));
+        }
+        self.net(&t)
+    }
+
+    /// A net name: `.` is reserved for the flattened hierarchy path.
+    fn net(&self, t: &Tok<'_>) -> Result<String, ParseError> {
+        if t.text.contains('.') {
+            return Err(self.err_at(t, ParseErrorKind::DottedNet));
         }
         Ok(t.text.to_string())
     }
@@ -811,7 +828,7 @@ fn parse_card(cur: &mut Cursor<'_>, head: &Tok<'_>) -> Result<Item, ParseError> 
             }
             return Ok(Item::Instance(Instance {
                 name,
-                conns: bare.into_iter().map(|t| t.text.to_string()).collect(),
+                conns: bare.iter().map(|t| cur.net(t)).collect::<Result<_, _>>()?,
                 subckt: sub_tok.text.to_string(),
                 params,
             }));
@@ -1162,5 +1179,34 @@ mod tests {
             err(".tran 1u 10n trap extra\n").to_string(),
             "line 1, col 19: unexpected trailing token `extra`"
         );
+    }
+
+    #[test]
+    fn golden_dotted_net() {
+        let e =
+            err(".subckt half a\nR1 a mid 1k\nR2 mid 0 1k\n.ends\nX1 in half\nR9 X1.mid 0 1k\n");
+        assert_eq!(
+            (e.line, e.col, e.kind.clone()),
+            (6, 4, ParseErrorKind::DottedNet)
+        );
+        assert_eq!(e.token, "X1.mid");
+        assert_eq!(
+            e.to_string(),
+            "line 6, col 4: net name `X1.mid` contains `.`, which separates hierarchy levels in flattened names"
+        );
+        // Every net position of every card, and instance connections.
+        for (text, col) in [
+            ("M1 d g s.x 0 nmos\n", 8),
+            ("E1 a 0 c. 0 2\n", 8),
+            ("V1 .a 0 dc 1\n", 4),
+            (".subckt s p\nR1 p 0 1k\n.ends\nX1 a.b s\n", 4),
+        ] {
+            let e = err(text);
+            assert_eq!((e.kind, e.col), (ParseErrorKind::DottedNet, col), "{text}");
+        }
+        // Device paths in `.sweep` keep their dots.
+        let d = parse(".subckt s g\nM1 0 g 0 0 nmos\n.ends\nX3 a s\n.sweep X3.M1 w=1u,2u\n.end\n")
+            .unwrap();
+        assert_eq!(d.sweep.unwrap().axes[0].devices, vec!["X3.M1"]);
     }
 }

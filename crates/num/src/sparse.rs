@@ -13,6 +13,13 @@
 //!   LU elimination in natural column order with threshold partial
 //!   pivoting (row pivoting only) and a Markowitz-style minimum-fill
 //!   tie-break, recording the pivot order and the L/U fill-in pattern.
+//!   A column → rows index, grown as fill is inserted, hands column `k`
+//!   only the rows that hold an entry in it, so the analysis costs
+//!   O(visited entries + fill updates) instead of an O(n²) scan of
+//!   every row per column. Visit order cannot change the outcome (the
+//!   column maximum, the pivot rule and each row's elimination are all
+//!   order-free), so the pivots and every factor bit are those of the
+//!   full scan. [`ComplexSparseLu::factor`] runs the same kernel.
 //! * [`SparseLu::refactor`] — the fast path: a numeric-only
 //!   re-elimination that reuses the recorded pivot order and fill
 //!   pattern, allocation-free. When a reused pivot collapses it reports
@@ -29,6 +36,7 @@
 use crate::complex::Complex;
 use crate::lu::SolveError;
 use crate::matrix::{ComplexMatrix, Matrix};
+use std::ops::{AddAssign, Div, Mul, Neg, SubAssign};
 
 /// Pivot magnitudes below this are treated as singular (the dense
 /// solver's threshold).
@@ -233,18 +241,329 @@ impl SparseMatrix {
     }
 }
 
+/// The scalar arithmetic the shared LU kernel needs, for `f64` and
+/// [`Complex`]. `mag` is the pivot-comparison magnitude — `|x|` for
+/// reals, `|x|²` for complex, like the dense solvers — and `TOL` is
+/// `PIVOT_TOL` in the same units.
+trait Scalar:
+    Copy + AddAssign + SubAssign + Mul<Output = Self> + Div<Output = Self> + Neg<Output = Self>
+{
+    const ZERO: Self;
+    const TOL: f64;
+    fn mag(self) -> f64;
+    fn finite(self) -> bool;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    const TOL: f64 = PIVOT_TOL;
+    fn mag(self) -> f64 {
+        self.abs()
+    }
+    fn finite(self) -> bool {
+        self.is_finite()
+    }
+}
+
+impl Scalar for Complex {
+    const ZERO: Complex = Complex::ZERO;
+    const TOL: f64 = PIVOT_TOL * PIVOT_TOL;
+    fn mag(self) -> f64 {
+        self.norm_sqr()
+    }
+    fn finite(self) -> bool {
+        self.is_finite()
+    }
+}
+
 /// One row of the elimination workspace used by the full factorization:
 /// sorted `(col, value)` pairs, merged in place as fill arrives.
-type WorkRow = Vec<(u32, f64)>;
+type WorkRow<T> = Vec<(u32, T)>;
 
-/// Subtracts `f ×` the trailing (col > `k`) part of `pivot` from `row`,
-/// inserting fill-in entries to keep `row` sorted.
-fn eliminate_into(row: &mut WorkRow, pivot: &WorkRow, k: u32, f: f64) {
-    for &(c, uv) in pivot.iter().filter(|&&(c, _)| c > k) {
-        match row.binary_search_by_key(&c, |e| e.0) {
-            Ok(p) => row[p].1 -= f * uv,
-            Err(p) => row.insert(p, (c, -f * uv)),
+/// End-of-list marker of [`ColumnIndex`].
+const NIL: u32 = u32::MAX;
+
+/// Column → rows index of the elimination workspace: for every column,
+/// a singly linked list of the rows holding a structural entry there,
+/// threaded through one flat `(row, next)` vector. Entries are only
+/// ever added (fill), never removed — an explicit zero stays structural
+/// — so row `i` is on column `c`'s list exactly when `rows[i]` holds
+/// column `c`.
+struct ColumnIndex {
+    head: Vec<u32>,
+    links: Vec<(u32, u32)>,
+}
+
+impl ColumnIndex {
+    fn new<T>(rows: &[WorkRow<T>]) -> Self {
+        let nnz = rows.iter().map(Vec::len).sum();
+        let mut index = ColumnIndex {
+            head: vec![NIL; rows.len()],
+            links: Vec::with_capacity(nnz),
+        };
+        for (i, row) in rows.iter().enumerate() {
+            for &(c, _) in row {
+                index.push(c, i);
+            }
         }
+        index
+    }
+
+    fn push(&mut self, col: u32, row: usize) {
+        let col = col as usize;
+        self.links.push((row as u32, self.head[col]));
+        self.head[col] = (self.links.len() - 1) as u32;
+    }
+
+    /// Every row with a structural entry in `col`, in no fixed order.
+    fn rows(&self, col: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.head[col];
+        std::iter::from_fn(move || {
+            let (row, next) = *self.links.get(at as usize)?;
+            at = next;
+            Some(row as usize)
+        })
+    }
+}
+
+/// The rows of a CSR matrix as elimination work rows.
+fn work_rows<'a, T: Scalar + 'a>(
+    n: usize,
+    row: impl Fn(usize) -> (&'a [u32], &'a [T]),
+) -> Vec<WorkRow<T>> {
+    (0..n)
+        .map(|i| {
+            let (cols, vals) = row(i);
+            cols.iter().copied().zip(vals.iter().copied()).collect()
+        })
+        .collect()
+}
+
+/// The one elimination kernel behind [`SparseLu::factor`] and
+/// [`ComplexSparseLu::factor`]: right-looking elimination of `rows` in
+/// natural column order with threshold partial pivoting. Returns the
+/// pivot order (`perm[s]` = row chosen at step `s`) with every row
+/// holding its L factors (columns below its step) and its U row.
+///
+/// Column `k` visits only the unassigned rows on its [`ColumnIndex`]
+/// list, so a factorization costs O(visited entries + fill updates)
+/// rather than the O(n²) of scanning every row per column. The visit
+/// order does not change a single bit of the result:
+///
+/// * the column maximum is an `f64::max` over the same set of rows;
+/// * the pivot is the lexicographic minimum of `(active entries, row)`
+///   over the admissible rows — "sparsest row, smallest index on ties";
+/// * each row is eliminated against the frozen pivot row independently
+///   of every other row.
+fn eliminate<T: Scalar>(
+    mut rows: Vec<WorkRow<T>>,
+) -> Result<(Vec<usize>, Vec<WorkRow<T>>), SolveError> {
+    let n = rows.len();
+    let mut index = ColumnIndex::new(&rows);
+    // Count of already-eliminated (L-factor) entries per row, so the
+    // Markowitz tie-break sees only the active region.
+    let mut lower = vec![0usize; n];
+    let mut assigned = vec![false; n];
+    let mut perm = Vec::with_capacity(n);
+    // This column's unassigned rows.
+    let mut cands: Vec<usize> = Vec::new();
+
+    for k in 0..n {
+        cands.clear();
+        cands.extend(index.rows(k).filter(|&i| !assigned[i]));
+        // An unassigned row's entries left of column k are exactly its
+        // `lower[i]` L factors (each was eliminated at its own step, and
+        // fill only lands right of the pivot column), so its column-k
+        // entry sits at position `lower[i]`.
+        debug_assert!(cands.iter().all(|&i| rows[i][lower[i]].0 as usize == k));
+        let at_k = |i: usize| rows[i][lower[i]].1;
+        let col_max = cands.iter().fold(0.0f64, |m, &i| m.max(at_k(i).mag()));
+        if col_max < PIVOT_EPS || !col_max.is_finite() {
+            return Err(SolveError::Singular { step: k });
+        }
+        let (_, p) = cands
+            .iter()
+            .filter(|&&i| at_k(i).mag() >= T::TOL * col_max)
+            .map(|&i| (rows[i].len() - lower[i], i))
+            .min()
+            .expect("col_max admits at least one candidate");
+        assigned[p] = true;
+        perm.push(p);
+        let pivot = std::mem::take(&mut rows[p]);
+        let pivot_val = pivot[lower[p]].1;
+        let trailing = &pivot[lower[p] + 1..];
+        for &i in cands.iter().filter(|&&i| i != p) {
+            let q = lower[i];
+            lower[i] += 1;
+            let row = &mut rows[i];
+            // The column-k entry becomes the L factor f; subtract f × the
+            // trailing part of the pivot row, inserting fill to keep the
+            // row sorted and the index complete.
+            let f = row[q].1 / pivot_val;
+            row[q].1 = f;
+            for &(c, uv) in trailing {
+                match row.binary_search_by_key(&c, |e| e.0) {
+                    Ok(pos) => row[pos].1 -= f * uv,
+                    Err(pos) => {
+                        row.insert(pos, (c, -(f * uv)));
+                        index.push(c, i);
+                    }
+                }
+            }
+        }
+        rows[p] = pivot;
+    }
+    Ok((perm, rows))
+}
+
+/// The factors `P·A = L·U` shared by [`SparseLu`] and
+/// [`ComplexSparseLu`], with the numeric refactorization and the
+/// triangular solves.
+#[derive(Debug, Clone)]
+struct Factors<T> {
+    n: usize,
+    /// `perm[s]` = original row of `A` that became row `s` of `P·A = L·U`.
+    perm: Vec<usize>,
+    /// Strictly-lower factor rows (columns ascending), permuted order.
+    l_ptr: Vec<usize>,
+    l_cols: Vec<u32>,
+    l_vals: Vec<T>,
+    /// Upper factor rows including the diagonal (diagonal first).
+    u_ptr: Vec<usize>,
+    u_cols: Vec<u32>,
+    u_vals: Vec<T>,
+    /// Dense scatter workspace for [`Factors::refactor`].
+    scratch: Vec<T>,
+}
+
+impl<T: Scalar> Factors<T> {
+    /// Full factorization of the `n` CSR rows given by `row`.
+    fn factor<'a>(n: usize, row: impl Fn(usize) -> (&'a [u32], &'a [T])) -> Result<Self, SolveError>
+    where
+        T: 'a,
+    {
+        let (perm, rows) = eliminate(work_rows(n, row))?;
+        Ok(Factors::split(perm, &rows))
+    }
+
+    /// Assembles CSR factors in permuted row order: for the row chosen
+    /// at step s, entries below column s are L factors, the rest is the
+    /// U row (diagonal first by construction).
+    fn split(perm: Vec<usize>, rows: &[WorkRow<T>]) -> Self {
+        let n = perm.len();
+        let l_nnz: usize = perm
+            .iter()
+            .enumerate()
+            .map(|(s, &r)| rows[r].partition_point(|e| (e.0 as usize) < s))
+            .sum();
+        let u_nnz = rows.iter().map(Vec::len).sum::<usize>() - l_nnz;
+        let mut lu = Factors {
+            n,
+            perm,
+            l_ptr: Vec::with_capacity(n + 1),
+            l_cols: Vec::with_capacity(l_nnz),
+            l_vals: Vec::with_capacity(l_nnz),
+            u_ptr: Vec::with_capacity(n + 1),
+            u_cols: Vec::with_capacity(u_nnz),
+            u_vals: Vec::with_capacity(u_nnz),
+            scratch: vec![T::ZERO; n],
+        };
+        lu.l_ptr.push(0);
+        lu.u_ptr.push(0);
+        for s in 0..n {
+            for &(c, v) in &rows[lu.perm[s]] {
+                if (c as usize) < s {
+                    lu.l_cols.push(c);
+                    lu.l_vals.push(v);
+                } else {
+                    lu.u_cols.push(c);
+                    lu.u_vals.push(v);
+                }
+            }
+            lu.l_ptr.push(lu.l_cols.len());
+            lu.u_ptr.push(lu.u_cols.len());
+            debug_assert_eq!(lu.u_cols[lu.u_ptr[s]] as usize, s, "U diagonal first");
+        }
+        lu
+    }
+
+    /// Numeric-only re-elimination of the `n` CSR rows given by `row`
+    /// on the recorded pivot order and fill pattern.
+    fn refactor<'a>(
+        &mut self,
+        n: usize,
+        row: impl Fn(usize) -> (&'a [u32], &'a [T]),
+    ) -> Result<(), SolveError>
+    where
+        T: 'a,
+    {
+        if n != self.n {
+            return Err(SolveError::DimensionMismatch {
+                expected: self.n,
+                actual: n,
+            });
+        }
+        for s in 0..self.n {
+            // Scatter: clear the union pattern of this row, load A's row.
+            for &c in &self.l_cols[self.l_ptr[s]..self.l_ptr[s + 1]] {
+                self.scratch[c as usize] = T::ZERO;
+            }
+            for &c in &self.u_cols[self.u_ptr[s]..self.u_ptr[s + 1]] {
+                self.scratch[c as usize] = T::ZERO;
+            }
+            let (cols, vals) = row(self.perm[s]);
+            for (&c, &v) in cols.iter().zip(vals) {
+                self.scratch[c as usize] += v;
+            }
+            // Eliminate with the recorded column order.
+            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
+                let j = self.l_cols[li] as usize;
+                let f = self.scratch[j] / self.u_vals[self.u_ptr[j]];
+                self.l_vals[li] = f;
+                for ui in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
+                    self.scratch[self.u_cols[ui] as usize] -= f * self.u_vals[ui];
+                }
+            }
+            for ui in self.u_ptr[s]..self.u_ptr[s + 1] {
+                self.u_vals[ui] = self.scratch[self.u_cols[ui] as usize];
+            }
+            let d = self.u_vals[self.u_ptr[s]];
+            if d.mag() < PIVOT_EPS || !d.finite() {
+                return Err(SolveError::Singular { step: s });
+            }
+        }
+        Ok(())
+    }
+
+    /// The pivot (U diagonal) of step `s`.
+    fn pivot(&self, s: usize) -> T {
+        self.u_vals[self.u_ptr[s]]
+    }
+
+    fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), SolveError> {
+        if b.len() != self.n {
+            return Err(SolveError::DimensionMismatch {
+                expected: self.n,
+                actual: b.len(),
+            });
+        }
+        x.clear();
+        x.extend(self.perm.iter().map(|&p| b[p]));
+        for s in 0..self.n {
+            let mut acc = x[s];
+            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
+                acc -= self.l_vals[li] * x[self.l_cols[li] as usize];
+            }
+            x[s] = acc;
+        }
+        for s in (0..self.n).rev() {
+            let mut acc = x[s];
+            for ui in self.u_ptr[s] + 1..self.u_ptr[s + 1] {
+                acc -= self.u_vals[ui] * x[self.u_cols[ui] as usize];
+            }
+            x[s] = acc / self.pivot(s);
+        }
+        Ok(())
     }
 }
 
@@ -281,27 +600,24 @@ fn parity(perm: &[usize]) -> f64 {
 /// [`crate::lu::LuFactor`].
 #[derive(Debug, Clone)]
 pub struct SparseLu {
-    n: usize,
-    /// `perm[s]` = original row of `A` that became row `s` of `P·A = L·U`.
-    perm: Vec<usize>,
+    lu: Factors<f64>,
     sign: f64,
-    /// Strictly-lower factor rows (columns ascending), permuted order.
-    l_ptr: Vec<usize>,
-    l_cols: Vec<u32>,
-    l_vals: Vec<f64>,
-    /// Upper factor rows including the diagonal (diagonal first).
-    u_ptr: Vec<usize>,
-    u_cols: Vec<u32>,
-    u_vals: Vec<f64>,
-    /// Dense scatter workspace for [`SparseLu::refactor`].
-    scratch: Vec<f64>,
 }
 
 impl SparseLu {
     /// Full factorization of `a` as `P·A = L·U`: elimination in natural
     /// column order with threshold partial pivoting (`PIVOT_TOL` = 10⁻³)
-    /// and a minimum-row-count tie-break, recording pivot order and
-    /// fill-in for later [`SparseLu::refactor`] calls.
+    /// and a minimum-row-count tie-break (smallest row index on ties),
+    /// recording pivot order and fill-in for later
+    /// [`SparseLu::refactor`] calls.
+    ///
+    /// A column → rows index, grown as fill arrives, hands each column
+    /// only the rows that hold an entry in it, so the cost is
+    /// O(visited entries + fill updates), not O(n²): near-linear on the
+    /// low-fill chains MNA produces. The pivots, the L/U patterns and
+    /// every value are bit-identical to scanning all rows per column,
+    /// because neither the column maximum, nor the pivot rule, nor any
+    /// row's elimination depends on the order rows are visited in.
     ///
     /// # Errors
     ///
@@ -309,107 +625,11 @@ impl SparseLu {
     /// `step` is the column — i.e. variable — index, exactly as for the
     /// dense solver.
     pub fn factor(a: &SparseMatrix) -> Result<Self, SolveError> {
-        let n = a.dim();
-        let mut rows: Vec<WorkRow> = (0..n)
-            .map(|i| {
-                let (cols, vals) = a.row(i);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        // Count of already-eliminated (L-factor) entries per row, so the
-        // Markowitz tie-break sees only the active region.
-        let mut lower = vec![0usize; n];
-        let mut assigned = vec![false; n];
-        let mut perm = Vec::with_capacity(n);
-
-        for k in 0..n {
-            let kk = k as u32;
-            // Admissibility threshold: the column maximum over active rows.
-            let mut col_max = 0.0f64;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    col_max = col_max.max(rows[i][p].1.abs());
-                }
-            }
-            if col_max < PIVOT_EPS || !col_max.is_finite() {
-                return Err(SolveError::Singular { step: k });
-            }
-            // Pick the sparsest admissible row (smallest index on ties).
-            let mut pivot_row = None;
-            let mut best_active = usize::MAX;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    let active = rows[i].len() - lower[i];
-                    if rows[i][p].1.abs() >= PIVOT_TOL * col_max && active < best_active {
-                        best_active = active;
-                        pivot_row = Some(i);
-                    }
-                }
-            }
-            let p = pivot_row.expect("col_max admits at least one candidate");
-            assigned[p] = true;
-            perm.push(p);
-            let pivot_val = rows[p]
-                .binary_search_by_key(&kk, |e| e.0)
-                .map(|q| rows[p][q].1)
-                .expect("pivot entry present");
-            // Split borrow: the frozen pivot row drives elimination of
-            // every remaining row holding column k.
-            let (pivot_slice, others_lo, others_hi) = {
-                let (lo, rest) = rows.split_at_mut(p);
-                let (piv, hi) = rest.split_first_mut().expect("pivot row exists");
-                (piv, lo, hi)
-            };
-            for (off, row) in others_lo
-                .iter_mut()
-                .enumerate()
-                .chain(others_hi.iter_mut().enumerate().map(|(i, r)| (p + 1 + i, r)))
-            {
-                if assigned[off] {
-                    continue;
-                }
-                if let Ok(q) = row.binary_search_by_key(&kk, |e| e.0) {
-                    let f = row[q].1 / pivot_val;
-                    row[q].1 = f; // becomes the L factor for column k
-                    lower[off] += 1;
-                    eliminate_into(row, pivot_slice, kk, f);
-                }
-            }
-        }
-
-        // Assemble CSR factors in permuted row order: for the row chosen
-        // at step s, entries below column s are L factors, the rest is
-        // the U row (diagonal first by construction).
-        let mut lu = SparseLu {
-            n,
-            sign: parity(&perm),
-            perm,
-            l_ptr: Vec::with_capacity(n + 1),
-            l_cols: Vec::new(),
-            l_vals: Vec::new(),
-            u_ptr: Vec::with_capacity(n + 1),
-            u_cols: Vec::new(),
-            u_vals: Vec::new(),
-            scratch: vec![0.0; n],
-        };
-        lu.l_ptr.push(0);
-        lu.u_ptr.push(0);
-        for s in 0..n {
-            let r = lu.perm[s];
-            for &(c, v) in &rows[r] {
-                if (c as usize) < s {
-                    lu.l_cols.push(c);
-                    lu.l_vals.push(v);
-                } else {
-                    lu.u_cols.push(c);
-                    lu.u_vals.push(v);
-                }
-            }
-            lu.l_ptr.push(lu.l_cols.len());
-            lu.u_ptr.push(lu.u_cols.len());
-            debug_assert_eq!(lu.u_cols[lu.u_ptr[s]] as usize, s, "U diagonal first");
-        }
-        Ok(lu)
+        let lu = Factors::factor(a.dim(), |i| a.row(i))?;
+        Ok(SparseLu {
+            sign: parity(&lu.perm),
+            lu,
+        })
     }
 
     /// Numeric-only refactorization: re-eliminates `a`'s current values
@@ -423,74 +643,38 @@ impl SparseLu {
     /// collapsed — the caller should then re-run [`SparseLu::factor`]
     /// to choose fresh pivots (or report the system genuinely singular).
     pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), SolveError> {
-        if a.dim() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: a.dim(),
-            });
-        }
-        for s in 0..self.n {
-            let r = self.perm[s];
-            // Scatter: clear the union pattern of this row, load A's row.
-            for &c in &self.l_cols[self.l_ptr[s]..self.l_ptr[s + 1]] {
-                self.scratch[c as usize] = 0.0;
-            }
-            for &c in &self.u_cols[self.u_ptr[s]..self.u_ptr[s + 1]] {
-                self.scratch[c as usize] = 0.0;
-            }
-            let (cols, vals) = a.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                self.scratch[c as usize] += v;
-            }
-            // Eliminate with the recorded column order.
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                let j = self.l_cols[li] as usize;
-                let f = self.scratch[j] / self.u_vals[self.u_ptr[j]];
-                self.l_vals[li] = f;
-                for ui in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
-                    self.scratch[self.u_cols[ui] as usize] -= f * self.u_vals[ui];
-                }
-            }
-            for ui in self.u_ptr[s]..self.u_ptr[s + 1] {
-                self.u_vals[ui] = self.scratch[self.u_cols[ui] as usize];
-            }
-            let d = self.u_vals[self.u_ptr[s]];
-            if d.abs() < PIVOT_EPS || !d.is_finite() {
-                return Err(SolveError::Singular { step: s });
-            }
-        }
-        Ok(())
+        self.lu.refactor(a.dim(), |i| a.row(i))
     }
 
     /// Dimension of the factored system.
     pub fn dim(&self) -> usize {
-        self.n
+        self.lu.n
     }
 
     /// The row permutation: `permutation()[i]` is the original row of
     /// `A` that ended up as row `i` of `P·A = L·U` (columns are never
     /// permuted — same contract as [`crate::lu::LuFactor`]).
     pub fn permutation(&self) -> &[usize] {
-        &self.perm
+        &self.lu.perm
     }
 
     /// Determinant of the original matrix (product of pivots × the
     /// permutation sign).
     pub fn det(&self) -> f64 {
-        (0..self.n).fold(self.sign, |acc, s| acc * self.u_vals[self.u_ptr[s]])
+        (0..self.lu.n).fold(self.sign, |acc, s| acc * self.lu.pivot(s))
     }
 
     /// Ratio of the largest to the smallest pivot magnitude — the same
     /// cheap near-singularity measure as
     /// [`crate::lu::LuFactor::pivot_ratio`]. Returns 1.0 when empty.
     pub fn pivot_ratio(&self) -> f64 {
-        if self.n == 0 {
+        if self.lu.n == 0 {
             return 1.0;
         }
         let mut max = 0.0f64;
         let mut min = f64::INFINITY;
-        for s in 0..self.n {
-            let p = self.u_vals[self.u_ptr[s]].abs();
+        for s in 0..self.lu.n {
+            let p = self.lu.pivot(s).abs();
             max = max.max(p);
             min = min.min(p);
         }
@@ -504,29 +688,7 @@ impl SparseLu {
     ///
     /// [`SolveError::DimensionMismatch`] if `b` has the wrong length.
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), SolveError> {
-        if b.len() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-            });
-        }
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        for s in 0..self.n {
-            let mut acc = x[s];
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                acc -= self.l_vals[li] * x[self.l_cols[li] as usize];
-            }
-            x[s] = acc;
-        }
-        for s in (0..self.n).rev() {
-            let mut acc = x[s];
-            for ui in self.u_ptr[s] + 1..self.u_ptr[s + 1] {
-                acc -= self.u_vals[ui] * x[self.u_cols[ui] as usize];
-            }
-            x[s] = acc / self.u_vals[self.u_ptr[s]];
-        }
-        Ok(())
+        self.lu.solve_into(b, x)
     }
 
     /// Solves `A·x = b`, allocating the result (dense-API parity).
@@ -535,7 +697,7 @@ impl SparseLu {
     ///
     /// As for [`SparseLu::solve_into`].
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
-        let mut x = Vec::with_capacity(self.n);
+        let mut x = Vec::with_capacity(self.lu.n);
         self.solve_into(b, &mut x)?;
         Ok(x)
     }
@@ -634,122 +796,21 @@ impl ComplexSparseMatrix {
 /// system once per sweep and refactor per frequency.
 #[derive(Debug, Clone)]
 pub struct ComplexSparseLu {
-    n: usize,
-    perm: Vec<usize>,
-    l_ptr: Vec<usize>,
-    l_cols: Vec<u32>,
-    l_vals: Vec<Complex>,
-    u_ptr: Vec<usize>,
-    u_cols: Vec<u32>,
-    u_vals: Vec<Complex>,
-    scratch: Vec<Complex>,
+    lu: Factors<Complex>,
 }
 
 impl ComplexSparseLu {
     /// Full factorization with threshold partial pivoting (magnitudes
-    /// compared via `norm_sqr`, like the dense complex solver).
+    /// compared via `norm_sqr`, like the dense complex solver), by the
+    /// same column-indexed kernel as [`SparseLu::factor`].
     ///
     /// # Errors
     ///
     /// [`SolveError::Singular`] when a column has no admissible pivot.
     pub fn factor(a: &ComplexSparseMatrix) -> Result<Self, SolveError> {
-        let n = a.dim();
-        let mut rows: Vec<Vec<(u32, Complex)>> = (0..n)
-            .map(|i| {
-                let (cols, vals) = a.row(i);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        let mut lower = vec![0usize; n];
-        let mut assigned = vec![false; n];
-        let mut perm = Vec::with_capacity(n);
-        let tol_sqr = PIVOT_TOL * PIVOT_TOL;
-
-        for k in 0..n {
-            let kk = k as u32;
-            let mut col_max = 0.0f64;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    col_max = col_max.max(rows[i][p].1.norm_sqr());
-                }
-            }
-            if col_max < PIVOT_EPS || !col_max.is_finite() {
-                return Err(SolveError::Singular { step: k });
-            }
-            let mut pivot_row = None;
-            let mut best_active = usize::MAX;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    let active = rows[i].len() - lower[i];
-                    if rows[i][p].1.norm_sqr() >= tol_sqr * col_max && active < best_active {
-                        best_active = active;
-                        pivot_row = Some(i);
-                    }
-                }
-            }
-            let p = pivot_row.expect("col_max admits at least one candidate");
-            assigned[p] = true;
-            perm.push(p);
-            let pivot_val = rows[p]
-                .binary_search_by_key(&kk, |e| e.0)
-                .map(|q| rows[p][q].1)
-                .expect("pivot entry present");
-            let (pivot_slice, others_lo, others_hi) = {
-                let (lo, rest) = rows.split_at_mut(p);
-                let (piv, hi) = rest.split_first_mut().expect("pivot row exists");
-                (piv, lo, hi)
-            };
-            for (off, row) in others_lo
-                .iter_mut()
-                .enumerate()
-                .chain(others_hi.iter_mut().enumerate().map(|(i, r)| (p + 1 + i, r)))
-            {
-                if assigned[off] {
-                    continue;
-                }
-                if let Ok(q) = row.binary_search_by_key(&kk, |e| e.0) {
-                    let f = row[q].1 / pivot_val;
-                    row[q].1 = f;
-                    lower[off] += 1;
-                    for &(c, uv) in pivot_slice.iter().filter(|&&(c, _)| c > kk) {
-                        match row.binary_search_by_key(&c, |e| e.0) {
-                            Ok(pos) => row[pos].1 -= f * uv,
-                            Err(pos) => row.insert(pos, (c, -(f * uv))),
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut lu = ComplexSparseLu {
-            n,
-            perm,
-            l_ptr: Vec::with_capacity(n + 1),
-            l_cols: Vec::new(),
-            l_vals: Vec::new(),
-            u_ptr: Vec::with_capacity(n + 1),
-            u_cols: Vec::new(),
-            u_vals: Vec::new(),
-            scratch: vec![Complex::ZERO; n],
-        };
-        lu.l_ptr.push(0);
-        lu.u_ptr.push(0);
-        for s in 0..n {
-            let r = lu.perm[s];
-            for &(c, v) in &rows[r] {
-                if (c as usize) < s {
-                    lu.l_cols.push(c);
-                    lu.l_vals.push(v);
-                } else {
-                    lu.u_cols.push(c);
-                    lu.u_vals.push(v);
-                }
-            }
-            lu.l_ptr.push(lu.l_cols.len());
-            lu.u_ptr.push(lu.u_cols.len());
-            debug_assert_eq!(lu.u_cols[lu.u_ptr[s]] as usize, s, "U diagonal first");
-        }
-        Ok(lu)
+        Ok(ComplexSparseLu {
+            lu: Factors::factor(a.dim(), |i| a.row(i))?,
+        })
     }
 
     /// Numeric-only refactorization on the recorded pivot order and fill
@@ -759,46 +820,12 @@ impl ComplexSparseLu {
     ///
     /// As for [`SparseLu::refactor`].
     pub fn refactor(&mut self, a: &ComplexSparseMatrix) -> Result<(), SolveError> {
-        if a.dim() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: a.dim(),
-            });
-        }
-        for s in 0..self.n {
-            let r = self.perm[s];
-            for &c in &self.l_cols[self.l_ptr[s]..self.l_ptr[s + 1]] {
-                self.scratch[c as usize] = Complex::ZERO;
-            }
-            for &c in &self.u_cols[self.u_ptr[s]..self.u_ptr[s + 1]] {
-                self.scratch[c as usize] = Complex::ZERO;
-            }
-            let (cols, vals) = a.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                self.scratch[c as usize] += v;
-            }
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                let j = self.l_cols[li] as usize;
-                let f = self.scratch[j] / self.u_vals[self.u_ptr[j]];
-                self.l_vals[li] = f;
-                for ui in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
-                    self.scratch[self.u_cols[ui] as usize] -= f * self.u_vals[ui];
-                }
-            }
-            for ui in self.u_ptr[s]..self.u_ptr[s + 1] {
-                self.u_vals[ui] = self.scratch[self.u_cols[ui] as usize];
-            }
-            let d = self.u_vals[self.u_ptr[s]];
-            if d.norm_sqr() < PIVOT_EPS || !d.is_finite() {
-                return Err(SolveError::Singular { step: s });
-            }
-        }
-        Ok(())
+        self.lu.refactor(a.dim(), |i| a.row(i))
     }
 
     /// Dimension of the factored system.
     pub fn dim(&self) -> usize {
-        self.n
+        self.lu.n
     }
 
     /// Solves `A·x = b` into a caller-owned buffer.
@@ -807,29 +834,7 @@ impl ComplexSparseLu {
     ///
     /// [`SolveError::DimensionMismatch`] if `b` has the wrong length.
     pub fn solve_into(&self, b: &[Complex], x: &mut Vec<Complex>) -> Result<(), SolveError> {
-        if b.len() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-            });
-        }
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        for s in 0..self.n {
-            let mut acc = x[s];
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                acc -= self.l_vals[li] * x[self.l_cols[li] as usize];
-            }
-            x[s] = acc;
-        }
-        for s in (0..self.n).rev() {
-            let mut acc = x[s];
-            for ui in self.u_ptr[s] + 1..self.u_ptr[s + 1] {
-                acc -= self.u_vals[ui] * x[self.u_cols[ui] as usize];
-            }
-            x[s] = acc / self.u_vals[self.u_ptr[s]];
-        }
-        Ok(())
+        self.lu.solve_into(b, x)
     }
 }
 
@@ -1122,5 +1127,393 @@ mod tests {
         let d = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let lu = SparseLu::factor(&SparseMatrix::from_dense(&d)).unwrap();
         assert!((lu.det() - -1.0).abs() < 1e-12);
+    }
+
+    // -- the column-indexed kernel against today's full scan --
+
+    /// The full-scan kernel the column index replaced, kept as the
+    /// reference [`eliminate`] must match bit for bit: per column it
+    /// scans every row three times (column maximum, pivot choice,
+    /// elimination).
+    fn eliminate_full_scan<T: Scalar>(
+        mut rows: Vec<WorkRow<T>>,
+    ) -> Result<(Vec<usize>, Vec<WorkRow<T>>), SolveError> {
+        let n = rows.len();
+        let mut lower = vec![0usize; n];
+        let mut assigned = vec![false; n];
+        let mut perm = Vec::with_capacity(n);
+        for k in 0..n {
+            let kk = k as u32;
+            let mut col_max = 0.0f64;
+            for i in (0..n).filter(|&i| !assigned[i]) {
+                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
+                    col_max = col_max.max(rows[i][p].1.mag());
+                }
+            }
+            if col_max < PIVOT_EPS || !col_max.is_finite() {
+                return Err(SolveError::Singular { step: k });
+            }
+            let mut pivot_row = None;
+            let mut best_active = usize::MAX;
+            for i in (0..n).filter(|&i| !assigned[i]) {
+                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
+                    let active = rows[i].len() - lower[i];
+                    if rows[i][p].1.mag() >= T::TOL * col_max && active < best_active {
+                        best_active = active;
+                        pivot_row = Some(i);
+                    }
+                }
+            }
+            let p = pivot_row.expect("col_max admits at least one candidate");
+            assigned[p] = true;
+            perm.push(p);
+            let pivot = rows[p].clone();
+            let pivot_val = pivot[pivot.binary_search_by_key(&kk, |e| e.0).unwrap()].1;
+            for (i, row) in rows.iter_mut().enumerate() {
+                if assigned[i] {
+                    continue;
+                }
+                if let Ok(q) = row.binary_search_by_key(&kk, |e| e.0) {
+                    let f = row[q].1 / pivot_val;
+                    row[q].1 = f;
+                    lower[i] += 1;
+                    for &(c, uv) in pivot.iter().filter(|&&(c, _)| c > kk) {
+                        match row.binary_search_by_key(&c, |e| e.0) {
+                            Ok(pos) => row[pos].1 -= f * uv,
+                            Err(pos) => row.insert(pos, (c, -(f * uv))),
+                        }
+                    }
+                }
+            }
+        }
+        Ok((perm, rows))
+    }
+
+    /// Bit patterns of a scalar, for exact comparison.
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Bits for Complex {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    /// Factors `rows` with the reference kernel, then asserts the
+    /// production result carries the same permutation, the same L/U
+    /// patterns and bit-identical values — or the same singular step.
+    fn assert_matches_reference<T: Bits + std::fmt::Debug>(
+        rows: Vec<WorkRow<T>>,
+        got: Result<&Factors<T>, SolveError>,
+    ) {
+        let want = eliminate_full_scan(rows).map(|(perm, rows)| Factors::split(perm, &rows));
+        match (want, got) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(got.perm, want.perm, "permutation");
+                assert_eq!(got.l_ptr, want.l_ptr, "L row pointers");
+                assert_eq!(got.l_cols, want.l_cols, "L pattern");
+                assert_eq!(got.u_ptr, want.u_ptr, "U row pointers");
+                assert_eq!(got.u_cols, want.u_cols, "U pattern");
+                let bits = |v: &[T]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
+                assert!(bits(&got.l_vals) == bits(&want.l_vals), "L values differ");
+                assert!(bits(&got.u_vals) == bits(&want.u_vals), "U values differ");
+            }
+            (Err(want), Err(got)) => assert_eq!(got, want),
+            (want, got) => panic!("reference {want:?} but kernel {got:?}"),
+        }
+    }
+
+    /// Factors one coordinate list both ways, real and complex (the
+    /// complex copy takes the second value as its imaginary part), and
+    /// returns the real matrix with its factorization.
+    fn check_both(
+        n: usize,
+        coords: &[(u32, u32, f64, f64)],
+    ) -> (SparseMatrix, Result<SparseLu, SolveError>) {
+        let pattern: Vec<(u32, u32)> = coords.iter().map(|&(r, c, _, _)| (r, c)).collect();
+        let mut a = SparseMatrix::from_pattern(n, &pattern);
+        let mut z = ComplexSparseMatrix::from_pattern(n, &pattern);
+        for &(r, c, re, im) in coords {
+            a.add_at(r as usize, c as usize, re);
+            z.add_at(r as usize, c as usize, Complex::new(re, im));
+        }
+        let lu = SparseLu::factor(&a);
+        assert_matches_reference(
+            work_rows(n, |i| a.row(i)),
+            lu.as_ref().map(|f| &f.lu).map_err(Clone::clone),
+        );
+        let zlu = ComplexSparseLu::factor(&z);
+        assert_matches_reference(
+            work_rows(n, |i| z.row(i)),
+            zlu.as_ref().map(|f| &f.lu).map_err(Clone::clone),
+        );
+        (a, lu)
+    }
+
+    /// SplitMix64, enough to draw matrices from one proptest seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+        /// A value from a small set, so magnitudes (and with them pivot
+        /// admissibility and row activity) tie often; sometimes an
+        /// explicit zero, sometimes a value spanning six decades.
+        fn value(&mut self) -> f64 {
+            let sign = if self.chance(50) { 1.0 } else { -1.0 };
+            sign * match self.below(8) {
+                0 => 0.0,
+                1 | 2 => 1.0,
+                3 => 2.0,
+                4 => 0.5,
+                5 => 1e-3,
+                _ => 10f64.powf(self.next() as f64 / u64::MAX as f64 * 6.0 - 3.0),
+            }
+        }
+    }
+
+    /// A random sparse matrix of one of four shapes:
+    /// 0 — unstructured, explicit zeros and tied magnitudes;
+    /// 1 — MNA-shaped: a node block with loaded diagonal plus branch
+    ///     rows/columns whose diagonal is structurally absent;
+    /// 2 — equal-count rows of ±1 (every pivot choice is a tie);
+    /// 3 — shape 0 or 1 made singular (an emptied or tiny column, or a
+    ///     repeated row).
+    fn random_coords(rng: &mut Mix, n: usize, shape: u32) -> Vec<(u32, u32, f64, f64)> {
+        let mut out = Vec::new();
+        let mut push = |rng: &mut Mix, r: usize, c: usize, re: f64| {
+            let im = if rng.chance(50) { 0.0 } else { rng.value() };
+            out.push((r as u32, c as u32, re, im));
+        };
+        match shape {
+            0 => {
+                let density = 5 + rng.below(40);
+                for r in 0..n {
+                    for c in 0..n {
+                        if r == c || rng.chance(density) {
+                            let v = rng.value();
+                            push(rng, r, c, v);
+                        }
+                    }
+                }
+            }
+            1 => {
+                let branches = rng.below(n.div_ceil(3) + 1).min(n - 1);
+                let nodes = n - branches;
+                for i in 0..nodes {
+                    // gmin-like diagonal, sometimes an explicit zero.
+                    let d = if rng.chance(20) { 0.0 } else { 1e-12 };
+                    push(rng, i, i, d);
+                }
+                for _ in 0..2 * nodes {
+                    let (a, b) = (rng.below(nodes), rng.below(nodes));
+                    let g = rng.value().abs();
+                    push(rng, a, a, g);
+                    push(rng, b, b, g);
+                    if a != b {
+                        push(rng, a, b, -g);
+                        push(rng, b, a, -g);
+                    }
+                    if rng.chance(30) {
+                        // A transconductance: one-sided coupling.
+                        let (gm, c) = (rng.value(), rng.below(nodes));
+                        push(rng, a, c, gm);
+                    }
+                }
+                for k in 0..branches {
+                    let rb = nodes + k;
+                    let p = rng.below(nodes);
+                    push(rng, p, rb, 1.0);
+                    push(rng, rb, p, 1.0);
+                    let m = rng.below(nodes);
+                    if m != p {
+                        push(rng, m, rb, -1.0);
+                        push(rng, rb, m, -1.0);
+                    }
+                    if rng.chance(30) {
+                        // A VCVS control entry in the branch row.
+                        let (gain, c) = (rng.value(), rng.below(nodes));
+                        push(rng, rb, c, gain);
+                    }
+                }
+            }
+            2 => {
+                let per_row = 1 + rng.below(n.min(4));
+                for r in 0..n {
+                    for k in 0..per_row {
+                        let c = if k == 0 { r } else { rng.below(n) };
+                        let v = if rng.chance(50) { 1.0 } else { -1.0 };
+                        push(rng, r, c, v);
+                    }
+                }
+            }
+            _ => {
+                let base = rng.below(2) as u32;
+                let mut coords = random_coords(rng, n, base);
+                let c = rng.below(n) as u32;
+                match rng.below(3) {
+                    0 => coords.retain(|e| e.1 != c),
+                    1 => {
+                        for e in coords.iter_mut().filter(|e| e.1 == c) {
+                            e.2 *= 1e-305;
+                            e.3 *= 1e-305;
+                        }
+                    }
+                    _ => {
+                        let r = c;
+                        let copy = (r + 1) % n as u32;
+                        coords.retain(|e| e.0 != copy);
+                        let dup: Vec<_> = coords.iter().filter(|e| e.0 == r).copied().collect();
+                        coords.extend(dup.into_iter().map(|(_, c, re, im)| (copy, c, re, im)));
+                    }
+                }
+                return coords;
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn factor_matches_the_full_scan_reference(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..40,
+            shape in 0u32..4
+        ) {
+            let mut rng = Mix(seed);
+            let _ = check_both(n, &random_coords(&mut rng, n, shape));
+        }
+    }
+
+    #[test]
+    fn reference_cases_cover_singular_pivoted_and_fill_in_factorizations() {
+        // The property above is only as good as its inputs: over the
+        // same generator, every shape must produce pivot swaps and
+        // fill, and the singular shape must actually fail.
+        let mut singular = [0usize; 4];
+        let mut swapped = [0usize; 4];
+        let mut filled = [0usize; 4];
+        for seed in 0..200u64 {
+            for shape in 0..4u32 {
+                let mut rng = Mix(seed);
+                let n = 2 + rng.below(30);
+                let (a, lu) = check_both(n, &random_coords(&mut rng, n, shape));
+                match lu {
+                    Err(_) => singular[shape as usize] += 1,
+                    Ok(lu) => {
+                        let s = shape as usize;
+                        swapped[s] +=
+                            usize::from(lu.permutation().iter().enumerate().any(|(i, &p)| i != p));
+                        filled[s] += usize::from(lu.lu.l_cols.len() + lu.lu.u_cols.len() > a.nnz());
+                    }
+                }
+            }
+        }
+        assert!(
+            singular[3] > 150,
+            "singular shape failed only {} times",
+            singular[3]
+        );
+        for s in 0..3 {
+            assert!(
+                swapped[s] > 10 && filled[s] > 10,
+                "shape {s}: {swapped:?} {filled:?}"
+            );
+        }
+    }
+
+    /// The coordinates and DC-ish values of an `stages`-long chain of
+    /// the `scl_buf` cell, laid out as the MNA pattern pass lays out the
+    /// `.ulp` chain: the testbench nodes vdd, ctl, vcm, inp, inn, then
+    /// cs/outp/outn per stage, then the five source branches (VDD, VCTL,
+    /// VCM and the two ±0.5 VCVS). The second value of each entry is the
+    /// susceptance of the load-capacitor slots, zero elsewhere.
+    fn scl_chain(stages: usize) -> (usize, Vec<(u32, u32, f64, f64)>) {
+        const GND: usize = usize::MAX;
+        let (vdd, ctl, vcm, inp, inn) = (0, 1, 2, 3, 4);
+        let nodes = 5 + 3 * stages;
+        let mut out = Vec::new();
+        let mut at = |r: usize, c: usize, re: f64, im: f64| {
+            if r != GND && c != GND {
+                out.push((r as u32, c as u32, re, im));
+            }
+        };
+        for i in 0..nodes {
+            at(i, i, 1e-12, 0.0); // gmin
+        }
+        let two_terminal =
+            |at: &mut dyn FnMut(usize, usize, f64, f64), a: usize, b: usize, g: f64, b_im: f64| {
+                at(a, a, g, b_im);
+                at(b, b, g, b_im);
+                at(a, b, -g, -b_im);
+                at(b, a, -g, -b_im);
+            };
+        let (mut ip, mut inn_s) = (inp, inn);
+        for s in 0..stages {
+            let (cs, op, on) = (5 + 3 * s, 6 + 3 * s, 7 + 3 * s);
+            // M1 (d=on, g=ip, s=cs) and M2 (d=op, g=inn_s, s=cs), bulk
+            // grounded: gm on the gate column, gds and gm+gds on the
+            // drain/source columns.
+            for (d, g) in [(on, ip), (op, inn_s)] {
+                let (gm, gds) = (2e-8 + 1e-10 * s as f64, 1e-10);
+                for (c, v) in [(g, gm), (cs, -(gm + gds)), (d, gds)] {
+                    at(d, c, v, 0.0);
+                    at(cs, c, -v, 0.0);
+                }
+            }
+            two_terminal(&mut at, vdd, op, 5e-9, 0.0);
+            two_terminal(&mut at, vdd, on, 5e-9, 0.0);
+            two_terminal(&mut at, op, GND, 0.0, 1e-11);
+            two_terminal(&mut at, on, GND, 0.0, 1e-11);
+            (ip, inn_s) = (op, on);
+        }
+        let mut branch = nodes;
+        let mut vsource = |at: &mut dyn FnMut(usize, usize, f64, f64), p: usize, n: usize| {
+            for (node, sign) in [(p, 1.0), (n, -1.0)] {
+                at(node, branch, sign, 0.0);
+                at(branch, node, sign, 0.0);
+            }
+            branch += 1;
+            branch - 1
+        };
+        vsource(&mut at, vdd, GND);
+        vsource(&mut at, ctl, GND);
+        vsource(&mut at, vcm, GND);
+        for (p, gain) in [(inp, 0.5), (inn, -0.5)] {
+            let rb = vsource(&mut at, p, vcm);
+            at(rb, ctl, -gain, 0.0);
+        }
+        (branch, out)
+    }
+
+    #[test]
+    fn chain_of_3010_unknowns_matches_the_full_scan_reference() {
+        let (n, coords) = scl_chain(1000);
+        assert_eq!(n, 3010);
+        let lu = check_both(n, &coords).1.expect("the chain is nonsingular");
+        assert!(
+            lu.permutation().iter().enumerate().any(|(i, &p)| i != p),
+            "branch rows pivot"
+        );
     }
 }

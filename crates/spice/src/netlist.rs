@@ -4,7 +4,9 @@
 //! ordinary method calls (no text parser — netlists in this workspace
 //! are constructed programmatically by the analog block generators).
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ulp_device::load::PmosLoad;
 use ulp_device::Mosfet;
@@ -295,9 +297,13 @@ impl Element {
 }
 
 /// A programmatically built circuit.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Netlist {
     node_names: Vec<String>,
+    /// Name → node lookup over `node_names`, kept in step by
+    /// [`Netlist::node`], so interning a name costs O(1) instead of a
+    /// scan of every node (which made flattening quadratic).
+    node_index: NodeIndex,
     elements: Vec<Element>,
     /// Monotone edit counter: bumped by every mutation that can change a
     /// static-analysis verdict (new node, new element, element edit).
@@ -312,10 +318,84 @@ pub struct Netlist {
     erc_clean_at: AtomicU64,
 }
 
+// Ensemble workers analyse one shared netlist from many threads.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<Netlist>();
+};
+
+/// Marks a free [`NodeIndex`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// The name → node hash index of a [`Netlist`]: an open-addressing
+/// table (linear probing, at most half full) of indices into the
+/// netlist's `node_names`. It stores 4 bytes per slot and compares
+/// against the names the netlist already holds, rather than keeping a
+/// second copy of every name.
+#[derive(Debug, Clone, Default)]
+struct NodeIndex {
+    hasher: RandomState,
+    /// Node indices or `EMPTY`; empty or a power of two long.
+    slots: Vec<u32>,
+}
+
+impl NodeIndex {
+    /// The index of `name` in `names`, if indexed.
+    fn find(&self, names: &[String], name: &str) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(names, name).1
+    }
+
+    /// The slot holding `name`, or else the free slot where it belongs.
+    fn probe(&self, names: &[String], name: &str) -> (usize, Option<usize>) {
+        let mask = self.slots.len() - 1;
+        let mut s = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[s] {
+                EMPTY => return (s, None),
+                i if names[i as usize] == name => return (s, Some(i as usize)),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Indexes the newest name, `names.last()`, not yet indexed.
+    fn push(&mut self, names: &[String]) {
+        if 2 * names.len() > self.slots.len() {
+            self.slots = vec![EMPTY; (2 * names.len()).next_power_of_two()];
+            for i in 0..names.len() - 1 {
+                self.insert(names, i);
+            }
+        }
+        self.insert(names, names.len() - 1);
+    }
+
+    fn insert(&mut self, names: &[String], i: usize) {
+        let (s, _) = self.probe(names, &names[i]);
+        self.slots[s] = u32::try_from(i).expect("fewer than 2^32 nodes");
+    }
+}
+
+/// The derived form, minus the name index (which only mirrors
+/// `node_names`, in an order that varies from run to run).
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Netlist")
+            .field("node_names", &self.node_names)
+            .field("elements", &self.elements)
+            .field("revision", &self.revision)
+            .field("erc_clean_at", &self.erc_clean_at)
+            .finish()
+    }
+}
+
 impl Clone for Netlist {
     fn clone(&self) -> Self {
         Netlist {
             node_names: self.node_names.clone(),
+            node_index: self.node_index.clone(),
             elements: self.elements.clone(),
             revision: self.revision,
             erc_clean_at: AtomicU64::new(self.erc_clean_at.load(Ordering::Relaxed)),
@@ -329,21 +409,25 @@ impl Netlist {
 
     /// Creates an empty netlist (containing only the ground node).
     pub fn new() -> Self {
-        Netlist {
+        let mut nl = Netlist {
             node_names: vec!["0".to_string()],
+            node_index: NodeIndex::default(),
             elements: Vec::new(),
             revision: 0,
             erc_clean_at: AtomicU64::new(0),
-        }
+        };
+        nl.node_index.push(&nl.node_names);
+        nl
     }
 
     /// Creates (or re-uses, by name) a node.
     pub fn node(&mut self, name: &str) -> Node {
-        if let Some(i) = self.node_names.iter().position(|n| n == name) {
-            return Node(i);
+        if let Some(node) = self.find_node(name) {
+            return node;
         }
         self.invalidate();
         self.node_names.push(name.to_string());
+        self.node_index.push(&self.node_names);
         Node(self.node_names.len() - 1)
     }
 
@@ -392,7 +476,7 @@ impl Netlist {
 
     /// Looks up a node by name without creating it.
     pub fn find_node(&self, name: &str) -> Option<Node> {
-        self.node_names.iter().position(|n| n == name).map(Node)
+        self.node_index.find(&self.node_names, name).map(Node)
     }
 
     pub(crate) fn elements_mut(&mut self) -> impl Iterator<Item = &mut Element> {
@@ -666,6 +750,61 @@ mod tests {
         assert_eq!(nl.node_name(a), "a");
         assert!(Netlist::GROUND.is_ground());
         assert!(!a.is_ground());
+    }
+
+    #[test]
+    fn ground_is_interned_as_zero() {
+        let mut nl = Netlist::new();
+        assert_eq!(nl.find_node("0"), Some(Netlist::GROUND));
+        assert_eq!(nl.node("0"), Netlist::GROUND);
+        assert_eq!(nl.node_count(), 1, "naming ground adds no node");
+    }
+
+    /// Asserts `find_node` agrees with the node table for every name.
+    fn assert_index_consistent(nl: &Netlist) {
+        for i in 0..nl.node_count() {
+            let name = nl.node_name(Node(i));
+            assert_eq!(nl.find_node(name), Some(Node(i)), "{name}");
+        }
+    }
+
+    #[test]
+    fn find_node_agrees_with_node() {
+        let mut nl = Netlist::new();
+        let names = ["a", "X1.mid", "b", "a", "X1.X2.cs", "0", "b"];
+        let nodes: Vec<Node> = names.iter().map(|n| nl.node(n)).collect();
+        for (name, node) in names.iter().zip(&nodes) {
+            assert_eq!(nl.find_node(name), Some(*node));
+        }
+        assert_eq!(nl.node_count(), 5);
+        assert_eq!(nl.find_node("c"), None);
+        assert_index_consistent(&nl);
+        // Through many regrowths of the index.
+        for k in 0..5000 {
+            let node = nl.node(&format!("X{k}.out"));
+            assert_eq!(node.index(), 5 + k);
+        }
+        assert_eq!(nl.node("X17.out").index(), 5 + 17);
+        assert_eq!(nl.find_node("X5000.out"), None);
+        assert_index_consistent(&nl);
+    }
+
+    #[test]
+    fn clones_keep_their_own_node_index() {
+        let mut original = Netlist::new();
+        let shared = original.node("shared");
+        let mut copy = original.clone();
+        assert_eq!(copy.find_node("shared"), Some(shared));
+        let only_original = original.node("only_original");
+        let only_copy = copy.node("only_copy");
+        // Both new names took the same index, each in its own netlist.
+        assert_eq!(only_original, only_copy);
+        assert_eq!(original.find_node("only_copy"), None);
+        assert_eq!(copy.find_node("only_original"), None);
+        assert_eq!(copy.find_node("shared"), Some(shared));
+        assert_eq!(copy.node("shared"), shared);
+        assert_index_consistent(&original);
+        assert_index_consistent(&copy);
     }
 
     #[test]
