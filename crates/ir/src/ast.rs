@@ -316,31 +316,12 @@ pub struct SweepAxis {
     pub grid: Vec<(String, Vec<f64>)>,
 }
 
-/// Corrector family requested by a `.tran` card's optional third field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranMethod {
-    /// Backward Euler (`be`): L-stable, first order.
-    Be,
-    /// Trapezoidal (`trap`): A-stable, second order.
-    Trap,
-}
-
-impl TranMethod {
-    /// The keyword used in `.tran` cards.
-    pub fn token(self) -> &'static str {
-        match self {
-            TranMethod::Be => "be",
-            TranMethod::Trap => "trap",
-        }
-    }
-}
-
-/// Transient analysis card (`.tran t_stop [dt_max] [be|trap]`).
+/// Transient analysis card (`.tran t_stop [dt_max]`).
 ///
 /// `t_stop` is the simulated interval; `dt_max` bounds the adaptive
-/// engine's step size (engines pick their own default when omitted);
-/// `method` pins the corrector family (adaptive TRAP↔BE selection when
-/// omitted).
+/// engine's step size (engines pick their own default when omitted).
+/// The integrator is not part of the card: the adaptive engine chooses
+/// backward Euler or trapezoidal per step itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranSpec {
     /// Simulated stop time, s. Strictly positive.
@@ -348,8 +329,6 @@ pub struct TranSpec {
     /// Optional upper bound on the time step, s. The parser keeps it in
     /// `(0, t_stop]`.
     pub dt_max: Option<f64>,
-    /// Optional corrector family override.
-    pub method: Option<TranMethod>,
 }
 
 /// Declarative sweep specification: named technology targets times the
@@ -442,9 +421,6 @@ impl Design {
             out.push_str(&format!(".tran {}", fmt_f64(tran.t_stop)));
             if let Some(dt) = tran.dt_max {
                 out.push_str(&format!(" {}", fmt_f64(dt)));
-            }
-            if let Some(m) = tran.method {
-                out.push_str(&format!(" {}", m.token()));
             }
             out.push('\n');
         }

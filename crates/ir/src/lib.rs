@@ -59,7 +59,7 @@ pub mod sweep;
 
 pub use ast::{
     ClassDefault, Design, Device, DeviceKind, Instance, Item, Port, PortRole, Subckt, SweepAxis,
-    SweepSpec, TranMethod, TranSpec, Value, WaveSpec,
+    SweepSpec, TranSpec, Value, WaveSpec,
 };
 pub use flatten::{flatten, FlattenError};
 pub use import::{design_from_netlist, ImportError};

@@ -15,7 +15,7 @@
 //!   <device and X cards>
 //! .ends
 //! <top-level device and X cards>
-//! .tran T_STOP [DT_MAX] [be|trap]
+//! .tran T_STOP [DT_MAX]
 //! .tech NAME…
 //! .sweep DEV… PARAM=NUM,NUM,… …
 //! .end
@@ -69,9 +69,6 @@ pub enum ParseErrorKind {
     /// Unknown stimulus keyword (expected `dc`, `pulse`, `sine` or
     /// `pwl`).
     BadWave,
-    /// Unknown integration method on a `.tran` card (expected `be` or
-    /// `trap`).
-    BadMethod,
     /// A second `.tran` card.
     DuplicateTran,
     /// Duplicate device/instance name within one scope.
@@ -131,9 +128,6 @@ impl fmt::Display for ParseError {
             }
             ParseErrorKind::BadWave => {
                 write!(f, "unknown stimulus `{tok}`: expected dc, pulse, sine or pwl")
-            }
-            ParseErrorKind::BadMethod => {
-                write!(f, "unknown integration method `{tok}`: expected be or trap")
             }
             ParseErrorKind::DuplicateTran => write!(f, "duplicate .tran card"),
             ParseErrorKind::DuplicateName => {
@@ -507,45 +501,32 @@ fn parse_tran(cur: &mut Cursor<'_>) -> Result<TranSpec, ParseError> {
             },
         ));
     }
-    let mut spec = TranSpec {
-        t_stop,
-        dt_max: None,
-        method: None,
-    };
-    // Optional `dt_max`: a number in the second position. A keyword
-    // here is the method instead (`.tran 1u trap` is legal).
-    if let Some(t) = cur.peek() {
-        if let Some(dt) = parse_number(t.text) {
-            let t = t.clone();
-            cur.next();
-            if dt <= 0.0 {
-                return Err(cur.err_at(
-                    &t,
-                    ParseErrorKind::Expected {
-                        what: "a positive maximum step",
-                    },
-                ));
-            }
-            if dt > t_stop {
-                return Err(cur.err_at(
-                    &t,
-                    ParseErrorKind::Expected {
-                        what: "a maximum step no longer than the stop time",
-                    },
-                ));
-            }
-            spec.dt_max = Some(dt);
-        }
-    }
+    // Optional `dt_max`: a positive number no longer than the stop time.
+    let mut dt_max = None;
     if let Some(t) = cur.next() {
-        spec.method = Some(match t.text.to_ascii_lowercase().as_str() {
-            "be" => TranMethod::Be,
-            "trap" => TranMethod::Trap,
-            _ => return Err(cur.err_at(&t, ParseErrorKind::BadMethod)),
-        });
+        let Some(dt) = parse_number(t.text) else {
+            return Err(cur.err_at(&t, ParseErrorKind::BadNumber));
+        };
+        if dt <= 0.0 {
+            return Err(cur.err_at(
+                &t,
+                ParseErrorKind::Expected {
+                    what: "a positive maximum step",
+                },
+            ));
+        }
+        if dt > t_stop {
+            return Err(cur.err_at(
+                &t,
+                ParseErrorKind::Expected {
+                    what: "a maximum step no longer than the stop time",
+                },
+            ));
+        }
+        dt_max = Some(dt);
     }
     cur.expect_done()?;
-    Ok(spec)
+    Ok(TranSpec { t_stop, dt_max })
 }
 
 fn parse_default(cur: &mut Cursor<'_>, design: &mut Design) -> Result<(), ParseError> {
@@ -1127,25 +1108,16 @@ mod tests {
         assert_eq!(d.tran, Some(TranSpec {
             t_stop: 1e-6,
             dt_max: None,
-            method: None,
         }));
         let d = parse("R1 a 0 1k\n.tran 1u 10n\n.end\n").unwrap();
         assert_eq!(d.tran.unwrap().dt_max, Some(1e-8));
-        let d = parse("R1 a 0 1k\n.tran 1u 10n trap\n.end\n").unwrap();
-        assert_eq!(d.tran.as_ref().unwrap().method, Some(TranMethod::Trap));
-        // Method without dt_max is legal: the second field dispatches
-        // on whether it parses as a number.
-        let d = parse("R1 a 0 1k\n.tran 1u be\n.end\n").unwrap();
-        let tran = d.tran.unwrap();
-        assert_eq!(tran.dt_max, None);
-        assert_eq!(tran.method, Some(TranMethod::Be));
     }
 
     #[test]
     fn golden_tran_errors() {
         assert_eq!(
-            err(".tran 1u 10n euler\n").to_string(),
-            "line 1, col 14: unknown integration method `euler`: expected be or trap"
+            err(".tran 1u 10n trap\n").to_string(),
+            "line 1, col 14: unexpected trailing token `trap`"
         );
         assert_eq!(
             err(".tran 1u\n.tran 2u\n.end\n").to_string(),
@@ -1176,8 +1148,8 @@ mod tests {
             "line 2, col 1: `.tran` is only valid at top level, not inside .subckt"
         );
         assert_eq!(
-            err(".tran 1u 10n trap extra\n").to_string(),
-            "line 1, col 19: unexpected trailing token `extra`"
+            err(".tran 1u be\n").to_string(),
+            "line 1, col 10: `be` is not a number"
         );
     }
 

@@ -269,11 +269,6 @@ impl Gen {
             d.tran = Some(TranSpec {
                 t_stop: a.max(b),
                 dt_max: self.chance(60).then_some(a.min(b)),
-                method: match self.below(3) {
-                    0 => None,
-                    1 => Some(TranMethod::Be),
-                    _ => Some(TranMethod::Trap),
-                },
             });
         }
         if self.chance(50) {

@@ -1,13 +1,16 @@
-//! Transient analysis: a fixed-step oracle and an adaptive engine.
+//! Transient analysis: one step core, two step-size policies.
 //!
 //! Each timestep replaces capacitors by their companion models
-//! ([`Integrator`]) and runs a full Newton solve seeded from the
-//! previous timepoint. Two step-size policies exist:
+//! ([`Integrator`]) and runs a full Newton solve. A private step core
+//! owns what both policies do identically: one workspace, the `t = 0`
+//! operating point, the companion solve of a candidate step, and its
+//! acceptance (capacitor currents, bypass commit, the recorded point and
+//! its [`Event::TranStep`]). The policies only choose the steps:
 //!
-//! * **Fixed** ([`Transient::run`]): the caller chooses `dt` and the
-//!   engine marches it uniformly. Simple, predictable, and the accuracy
-//!   *oracle* for the adaptive engine — a tight-tolerance fixed run is
-//!   what the adaptive equivalence suite pins against.
+//! * **Fixed** ([`Transient::run`]): the uniform grid `t = k·dt` up to
+//!   `round(t_stop/dt)·dt`, one integrator throughout, each step
+//!   warm-started at the previous point. Simple, predictable, and the
+//!   accuracy *oracle* the adaptive equivalence suite pins against.
 //! * **Adaptive** ([`Transient::run_adaptive`]): the local truncation
 //!   error of every candidate step is estimated from a
 //!   predictor/corrector pair (explicit linear extrapolation vs the
@@ -22,10 +25,14 @@
 //!   the last accepted step are not re-evaluated (their cached stamps
 //!   are re-applied — see [`MnaWorkspace::set_bypass_tol`]).
 //!
+//! They share the core, not one loop: the fixed grid's times, constant
+//! integrator, warm start and end point keep the oracle bit-stable, and
+//! the adaptive loop would have to branch on its caller for each.
+//!
 //! [`suggest_dt`] proposes the adaptive engine's `dt_max` hint from the
 //! fastest explicit RC in the netlist.
 
-use crate::dcop::{newton_solve_gmin_stepping_into, NewtonOptions};
+use crate::dcop::{newton_solve_gmin_stepping_into, NewtonInfo, NewtonOptions};
 use crate::error::SimError;
 use crate::mna::{capacitor_currents_into, voltage_of, AssembleMode, Integrator, MnaWorkspace};
 use crate::netlist::{Element, Netlist, Node, Waveform};
@@ -33,14 +40,6 @@ use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
 use ulp_device::Technology;
 use ulp_num::control::{weighted_error_norm, StepController};
-
-/// Stable label for a companion-model integrator, used in telemetry.
-fn method_name(method: Integrator) -> &'static str {
-    match method {
-        Integrator::BackwardEuler => "backward-euler",
-        Integrator::Trapezoidal => "trapezoidal",
-    }
-}
 
 /// Transient analysis controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,6 +233,174 @@ fn source_rate_cap(nl: &Netlist) -> f64 {
     cap
 }
 
+/// The step core (see the module docs). Its one workspace pays the
+/// pattern and symbolic factorization once per run, and its buffers are
+/// reused, so the sparse-path step loop does no steady-state allocation.
+struct March<'a> {
+    nl: &'a Netlist,
+    tech: &'a Technology,
+    newton: &'a NewtonOptions,
+    ws: MnaWorkspace,
+    /// Accepted solution at the last recorded point: the companion
+    /// models' history for the step in flight.
+    x: Vec<f64>,
+    /// Candidate of the step in flight, valid after a successful solve.
+    x_sol: Vec<f64>,
+    x_new: Vec<f64>,
+    /// Capacitor currents at `x`, double-buffered.
+    cap_i: Vec<f64>,
+    cap_i_next: Vec<f64>,
+    /// Size and integrator of the step in flight.
+    dt: f64,
+    method: Integrator,
+    /// Start of the step in flight, when the tracer is enabled.
+    started: Option<Instant>,
+    /// `ws.devices_bypassed()` after the last accepted step.
+    bypassed_mark: u64,
+    rec: Transient,
+}
+
+impl<'a> March<'a> {
+    /// Solves the `t = 0` operating point (all sources at their initial
+    /// values) and records it as the first point. `bypass_tol` enables
+    /// device-latency bypass (0 disables it); `points` sizes the
+    /// recording buffers, and a run whose buffers cannot be allocated is
+    /// refused up front.
+    fn start(
+        nl: &'a Netlist,
+        tech: &'a Technology,
+        newton: &'a NewtonOptions,
+        bypass_tol: f64,
+        points: usize,
+        tracer: &mut dyn Tracer,
+    ) -> Result<Self, SimError> {
+        let dim = nl.unknown_count();
+        let mut rec = Transient {
+            time: Vec::new(),
+            dim,
+            solutions: Vec::new(),
+        };
+        let values = points.saturating_mul(dim);
+        if rec.time.try_reserve_exact(points).is_err()
+            || rec.solutions.try_reserve_exact(values).is_err()
+        {
+            return Err(SimError::BadParameter(format!(
+                "transient of {points} time points does not fit in memory"
+            )));
+        }
+        let mut ws = MnaWorkspace::new(nl, newton.solver);
+        ws.set_bypass_tol(bypass_tol);
+        let (mut x, mut x_new) = (Vec::with_capacity(dim), Vec::with_capacity(dim));
+        newton_solve_gmin_stepping_into(
+            nl,
+            tech,
+            AssembleMode::Dc,
+            &vec![0.0; dim],
+            newton,
+            "tran",
+            tracer,
+            &mut ws,
+            &mut x,
+            &mut x_new,
+        )?;
+        // The DC point is the accepted state at t = 0: commit it as the
+        // bypass reference so latent devices can skip from step 1.
+        ws.commit_bypass();
+        let n_caps = nl
+            .elements()
+            .iter()
+            .filter(|e| matches!(e, Element::Capacitor { .. }))
+            .count();
+        rec.time.push(0.0);
+        rec.solutions.extend_from_slice(&x);
+        Ok(March {
+            nl,
+            tech,
+            newton,
+            ws,
+            x,
+            x_sol: Vec::with_capacity(dim),
+            x_new,
+            cap_i: vec![0.0; n_caps],
+            cap_i_next: Vec::with_capacity(n_caps),
+            dt: 0.0,
+            method: Integrator::BackwardEuler,
+            started: None,
+            bypassed_mark: 0,
+            rec,
+        })
+    }
+
+    /// Solves the companion system of a step of size `dt` ending at
+    /// `time` into `x_sol`, warm-started at `guess` (at the accepted
+    /// solution when `None`).
+    fn solve(
+        &mut self,
+        time: f64,
+        dt: f64,
+        method: Integrator,
+        guess: Option<&[f64]>,
+        tracer: &mut dyn Tracer,
+    ) -> Result<NewtonInfo, SimError> {
+        (self.dt, self.method) = (dt, method);
+        self.started = tracer.enabled().then(Instant::now);
+        let mode = AssembleMode::Transient {
+            time,
+            dt,
+            prev: &self.x,
+            cap_currents: &self.cap_i,
+            method,
+        };
+        newton_solve_gmin_stepping_into(
+            self.nl,
+            self.tech,
+            mode,
+            guess.unwrap_or(&self.x),
+            self.newton,
+            "tran",
+            tracer,
+            &mut self.ws,
+            &mut self.x_sol,
+            &mut self.x_new,
+        )
+    }
+
+    /// Accepts the solved step and records it at `time`: refreshes the
+    /// capacitor currents, commits the bypass reference and emits one
+    /// [`Event::TranStep`].
+    fn accept(&mut self, time: f64, newton_iterations: usize, tracer: &mut dyn Tracer) {
+        capacitor_currents_into(
+            self.nl,
+            &self.x_sol,
+            &self.x,
+            &self.cap_i,
+            self.dt,
+            self.method,
+            &mut self.cap_i_next,
+        );
+        std::mem::swap(&mut self.cap_i, &mut self.cap_i_next);
+        self.ws.commit_bypass();
+        std::mem::swap(&mut self.x, &mut self.x_sol);
+        self.rec.time.push(time);
+        self.rec.solutions.extend_from_slice(&self.x);
+        if let Some(t0) = self.started {
+            let total = self.ws.devices_bypassed();
+            tracer.record(&Event::TranStep {
+                step: self.rec.len() - 1,
+                time,
+                newton_iterations,
+                method: match self.method {
+                    Integrator::BackwardEuler => "backward-euler",
+                    Integrator::Trapezoidal => "trapezoidal",
+                },
+                devices_bypassed: (total - self.bypassed_mark) as usize,
+                seconds: t0.elapsed().as_secs_f64(),
+            });
+            self.bypassed_mark = total;
+        }
+    }
+}
+
 /// A recorded transient waveform set.
 ///
 /// Solutions are stored as one flat row-major buffer (`dim` unknowns
@@ -280,95 +447,22 @@ impl Transient {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        if opts.dt <= 0.0 || opts.t_stop < opts.dt {
+        let sane = opts.dt > 0.0 && opts.t_stop.is_finite() && opts.t_stop >= opts.dt;
+        if !sane {
             return Err(SimError::BadParameter(format!(
                 "dt {} / t_stop {}",
                 opts.dt, opts.t_stop
             )));
         }
-        // One workspace serves the whole run: the initial operating
-        // point and every timestep share the matrix pattern, so the
-        // symbolic factorization is paid once, not per step — and the
-        // solution/scratch vectors are reused so the sparse-path step
-        // loop performs no steady-state heap allocation at all.
-        let mut ws = MnaWorkspace::new(nl, opts.newton.solver);
-        let mut x = Vec::with_capacity(nl.unknown_count());
-        let mut x_new = Vec::with_capacity(nl.unknown_count());
-        let x0 = vec![0.0; nl.unknown_count()];
-        newton_solve_gmin_stepping_into(
-            nl,
-            tech,
-            AssembleMode::Dc,
-            &x0,
-            &opts.newton,
-            "tran",
-            tracer,
-            &mut ws,
-            &mut x,
-            &mut x_new,
-        )?;
-        let n_caps = nl
-            .elements()
-            .iter()
-            .filter(|e| matches!(e, crate::netlist::Element::Capacitor { .. }))
-            .count();
-        // Buffers hoisted out of the step loop: the previous solution,
-        // and double-buffered capacitor currents. Recorded waveforms
-        // append into one preallocated flat buffer.
-        let mut cap_i = vec![0.0; n_caps];
-        let mut cap_i_next = Vec::with_capacity(n_caps);
-        let mut prev = vec![0.0; x.len()];
         let steps = (opts.t_stop / opts.dt).round() as usize;
-        let dim = x.len();
-        let mut time = Vec::with_capacity(steps + 1);
-        let mut solutions = Vec::with_capacity((steps + 1) * dim);
-        time.push(0.0);
-        solutions.extend_from_slice(&x);
-        let enabled = tracer.enabled();
-        let method = method_name(opts.method);
+        let points = steps.saturating_add(1);
+        let mut march = March::start(nl, tech, &opts.newton, 0.0, points, tracer)?;
         for k in 1..=steps {
-            let t0 = enabled.then(Instant::now);
             let t = k as f64 * opts.dt;
-            prev.copy_from_slice(&x);
-            let mode = AssembleMode::Transient {
-                time: t,
-                dt: opts.dt,
-                prev: &prev,
-                cap_currents: &cap_i,
-                method: opts.method,
-            };
-            let r = newton_solve_gmin_stepping_into(
-                nl,
-                tech,
-                mode,
-                &prev,
-                &opts.newton,
-                "tran",
-                tracer,
-                &mut ws,
-                &mut x,
-                &mut x_new,
-            )?;
-            capacitor_currents_into(nl, &x, &prev, &cap_i, opts.dt, opts.method, &mut cap_i_next);
-            std::mem::swap(&mut cap_i, &mut cap_i_next);
-            if let Some(t0) = t0 {
-                tracer.record(&Event::TranStep {
-                    step: k,
-                    time: t,
-                    newton_iterations: r.iterations,
-                    method,
-                    devices_bypassed: 0,
-                    seconds: t0.elapsed().as_secs_f64(),
-                });
-            }
-            time.push(t);
-            solutions.extend_from_slice(&x);
+            let info = march.solve(t, opts.dt, opts.method, None, tracer)?;
+            march.accept(t, info.iterations, tracer);
         }
-        Ok(Transient {
-            time,
-            dim,
-            solutions,
-        })
+        Ok(march.rec)
     }
 
     /// Runs an adaptive transient analysis: LTE-controlled time
@@ -412,6 +506,7 @@ impl Transient {
         let sane = opts.dt_min > 0.0
             && opts.dt_min <= opts.dt_max
             && opts.dt_max <= opts.t_stop
+            && opts.t_stop.is_finite()
             && opts.dt_init > 0.0
             && opts.reltol > 0.0
             && opts.reltol.is_finite()
@@ -426,37 +521,8 @@ impl Transient {
             )));
         }
         let run_t0 = Instant::now();
-        let mut ws = MnaWorkspace::new(nl, opts.newton.solver);
-        ws.set_bypass_tol(opts.bypass_tol);
-        let mut x = Vec::with_capacity(nl.unknown_count());
-        let mut x_new = Vec::with_capacity(nl.unknown_count());
-        let x0 = vec![0.0; nl.unknown_count()];
-        newton_solve_gmin_stepping_into(
-            nl,
-            tech,
-            AssembleMode::Dc,
-            &x0,
-            &opts.newton,
-            "tran",
-            tracer,
-            &mut ws,
-            &mut x,
-            &mut x_new,
-        )?;
-        // The DC point is the accepted state at t = 0: commit it as the
-        // bypass reference so latent devices can skip from step 1.
-        ws.commit_bypass();
-        let n_caps = nl
-            .elements()
-            .iter()
-            .filter(|e| matches!(e, Element::Capacitor { .. }))
-            .count();
-        let mut cap_i = vec![0.0; n_caps];
-        let mut cap_i_next = Vec::with_capacity(n_caps);
-        let dim = x.len();
-        let mut time = vec![0.0];
-        let mut solutions = Vec::with_capacity(dim * 64);
-        solutions.extend_from_slice(&x);
+        let mut march = March::start(nl, tech, &opts.newton, opts.bypass_tol, 64, tracer)?;
+        let dim = march.x.len();
         let breakpoints = source_breakpoints(nl, opts.t_stop);
         let mut bpi = 0usize;
         // Bound the step by the fastest sine period so the predictor
@@ -466,17 +532,13 @@ impl Transient {
         let mut dt = controller.clamp(opts.dt_init);
         let mut t = 0.0f64;
         // Predictor history: the previous accepted solution and the
-        // step that produced the current one. `None` right after t = 0
-        // and after every breakpoint (the trajectory restarts there).
-        let mut x_prev: Option<(Vec<f64>, f64)> = None;
+        // step that produced the current one. The step is `None` right
+        // after t = 0 and after every breakpoint (the trajectory
+        // restarts there).
+        let mut x_prev = vec![0.0; dim];
+        let mut h_prev: Option<f64> = None;
         let mut steps_since_reset = 0usize;
-        let mut accepted = 0usize;
-        let mut bypassed_mark = ws.devices_bypassed();
-        // Scratch buffers reused across the whole run.
-        let mut prev = vec![0.0; dim];
         let mut x_pred = vec![0.0; dim];
-        let mut x_sol = Vec::with_capacity(dim);
-        let enabled = tracer.enabled();
         while bpi < breakpoints.len() {
             let target = breakpoints[bpi];
             let remaining = target - t;
@@ -485,7 +547,8 @@ impl Transient {
             // not span a scale the controller never vetted: take it at
             // a tenth of the proposal (the 2.5x growth on accept wins
             // the tenth back within two steps).
-            let dt_prop = if x_prev.is_none() {
+            let forced = h_prev.is_none();
+            let dt_prop = if forced {
                 controller.clamp(dt / 10.0)
             } else {
                 dt
@@ -499,131 +562,68 @@ impl Transient {
             };
             // BE until two accepted steps seed the error history, then
             // TRAP away from discontinuities (A-stable order 2).
-            let method = if steps_since_reset < 2 {
-                Integrator::BackwardEuler
+            let (method, order) = if steps_since_reset < 2 {
+                (Integrator::BackwardEuler, 1)
             } else {
-                Integrator::Trapezoidal
-            };
-            let order = match method {
-                Integrator::BackwardEuler => 1,
-                Integrator::Trapezoidal => 2,
+                (Integrator::Trapezoidal, 2)
             };
             // Explicit predictor: linear extrapolation through the two
             // most recent accepted points (constant when history is
             // empty). Doubles as the Newton warm start.
-            match &x_prev {
-                Some((xp, h_prev)) => {
-                    let a = dt_step / h_prev;
+            let x = &march.x;
+            match h_prev {
+                Some(h) => {
+                    let a = dt_step / h;
                     for i in 0..dim {
-                        x_pred[i] = x[i] + (x[i] - xp[i]) * a;
+                        x_pred[i] = x[i] + (x[i] - x_prev[i]) * a;
                     }
                 }
-                None => x_pred.copy_from_slice(&x),
+                None => x_pred.copy_from_slice(x),
             }
-            prev.copy_from_slice(&x);
-            let t_end = t + dt_step;
-            let mode = AssembleMode::Transient {
-                time: t_end,
-                dt: dt_step,
-                prev: &prev,
-                cap_currents: &cap_i,
-                method,
-            };
-            let t0 = enabled.then(Instant::now);
             // At the floor there is nothing smaller to retry with: a
             // landing step keeps `dt_step = remaining` however far the
             // controller shrinks, so the controller's own proposal is
             // what decides the floor there.
             let floor = opts.dt_min * (1.0 + 1e-9);
             let at_floor = dt_step <= floor || dt <= floor;
-            let r = newton_solve_gmin_stepping_into(
-                nl,
-                tech,
-                mode,
-                &x_pred,
-                &opts.newton,
-                "tran",
-                tracer,
-                &mut ws,
-                &mut x_sol,
-                &mut x_new,
-            );
-            let info = match r {
-                Ok(info) => info,
-                Err(e) => {
-                    // Newton refused the step: retry smaller, unless
-                    // the floor has been reached.
-                    if at_floor {
-                        return Err(e);
-                    }
-                    if let Some(t0) = t0 {
-                        tracer.record(&Event::TranReject {
-                            step: accepted + 1,
-                            time: t,
-                            dt: dt_step,
-                            error: 0.0,
-                            newton_failed: true,
-                            seconds: t0.elapsed().as_secs_f64(),
-                        });
-                    }
-                    dt = controller.reject(0.0, order, dt_step);
-                    continue;
-                }
+            let t_end = t + dt_step;
+            let iterations = match march.solve(t_end, dt_step, method, Some(&x_pred), tracer) {
+                Ok(info) => Some(info.iterations),
+                Err(e) if at_floor => return Err(e),
+                // Newton refused the step: retry smaller.
+                Err(_) => None,
             };
             // Weighted LTE estimate from the predictor/corrector pair.
             // The first step after a reset has no predictor history; it
             // is accepted unconditionally (dt_init bounds its size).
-            let err = match &x_prev {
-                Some(_) => weighted_error_norm(&x_sol, &x_pred, &x, opts.reltol, opts.abstol),
-                None => 0.0,
+            let err = if forced || iterations.is_none() {
+                0.0
+            } else {
+                weighted_error_norm(&march.x_sol, &x_pred, &march.x, opts.reltol, opts.abstol)
             };
-            let forced = x_prev.is_none();
-            if !forced && err > 1.0 && !at_floor {
-                if let Some(t0) = t0 {
-                    tracer.record(&Event::TranReject {
-                        step: accepted + 1,
-                        time: t,
-                        dt: dt_step,
-                        error: err,
-                        newton_failed: false,
-                        seconds: t0.elapsed().as_secs_f64(),
-                    });
+            let lte_exceeded = err > 1.0 && !at_floor;
+            let iterations = match iterations {
+                Some(n) if !lte_exceeded => n,
+                _ => {
+                    if let Some(t0) = march.started {
+                        tracer.record(&Event::TranReject {
+                            step: march.rec.len(),
+                            time: t,
+                            dt: dt_step,
+                            error: err,
+                            newton_failed: iterations.is_none(),
+                            seconds: t0.elapsed().as_secs_f64(),
+                        });
+                    }
+                    dt = controller.reject(err, order, dt_step);
+                    continue;
                 }
-                dt = controller.reject(err, order, dt_step);
-                continue;
-            }
-            // Accepted: advance state, commit the bypass reference,
-            // refresh capacitor currents for the next companion model.
-            capacitor_currents_into(nl, &x_sol, &prev, &cap_i, dt_step, method, &mut cap_i_next);
-            std::mem::swap(&mut cap_i, &mut cap_i_next);
-            ws.commit_bypass();
-            accepted += 1;
+            };
+            // Accepted: the outgoing solution becomes predictor history.
+            x_prev.copy_from_slice(&march.x);
+            h_prev = Some(dt_step);
             t = if landing { target } else { t_end };
-            // Recycle the old previous-solution buffer to store the
-            // outgoing current solution without reallocating.
-            let recycled = match x_prev.take() {
-                Some((mut buf, _)) => {
-                    buf.copy_from_slice(&x);
-                    buf
-                }
-                None => x.clone(),
-            };
-            x_prev = Some((recycled, dt_step));
-            std::mem::swap(&mut x, &mut x_sol);
-            time.push(t);
-            solutions.extend_from_slice(&x);
-            if let Some(t0) = t0 {
-                let total = ws.devices_bypassed();
-                tracer.record(&Event::TranStep {
-                    step: accepted,
-                    time: t,
-                    newton_iterations: info.iterations,
-                    method: method_name(method),
-                    devices_bypassed: (total - bypassed_mark) as usize,
-                    seconds: t0.elapsed().as_secs_f64(),
-                });
-                bypassed_mark = total;
-            }
+            march.accept(t, iterations, tracer);
             steps_since_reset += 1;
             if !forced {
                 dt = controller.accept(err, order, dt_step);
@@ -632,23 +632,19 @@ impl Transient {
                 bpi += 1;
                 // The trajectory restarts at a discontinuity: drop the
                 // error history, fall back to BE and the initial step.
-                x_prev = None;
+                h_prev = None;
                 steps_since_reset = 0;
                 controller.reset();
                 dt = controller.clamp(opts.dt_init);
             }
         }
-        if enabled {
+        if tracer.enabled() {
             tracer.record(&Event::Phase {
                 name: "tran::adaptive".to_string(),
                 seconds: run_t0.elapsed().as_secs_f64(),
             });
         }
-        Ok(Transient {
-            time,
-            dim,
-            solutions,
-        })
+        Ok(march.rec)
     }
 
     /// The timepoints, s.
@@ -850,16 +846,32 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V1", a, Netlist::GROUND, 1.0);
         nl.resistor("R1", a, Netlist::GROUND, 1.0);
-        let bad = TranOptions {
-            t_stop: 1.0,
-            dt: -1.0,
-            method: Integrator::BackwardEuler,
-            newton: NewtonOptions::default(),
-        };
-        assert!(matches!(
-            Transient::run(&nl, &tech(), &bad),
-            Err(SimError::BadParameter(_))
-        ));
+        // (t_stop, dt): a negative or NaN step, and a non-finite stop
+        // (a NaN step once recorded a one-point run; an infinite stop
+        // overflowed the step count).
+        for (t_stop, dt) in [
+            (1.0, -1.0),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 0.1),
+            (f64::NAN, 0.1),
+            (1.0, f64::INFINITY),
+            // More steps than any memory holds.
+            (1.0, 1e-300),
+        ] {
+            let bad = TranOptions {
+                t_stop,
+                dt,
+                method: Integrator::BackwardEuler,
+                newton: NewtonOptions::default(),
+            };
+            assert!(
+                matches!(
+                    Transient::run(&nl, &tech(), &bad),
+                    Err(SimError::BadParameter(_))
+                ),
+                "t_stop {t_stop} / dt {dt}"
+            );
+        }
     }
 
     #[test]
@@ -1198,18 +1210,22 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V1", a, Netlist::GROUND, 1.0);
         nl.resistor("R1", a, Netlist::GROUND, 1.0);
-        let mut bad = AdaptiveOptions::new(1.0, 0.1);
-        bad.dt_min = 0.2; // dt_min > dt_max
-        assert!(matches!(
-            Transient::run_adaptive(&nl, &tech(), &bad),
-            Err(SimError::BadParameter(_))
-        ));
-        let mut neg = AdaptiveOptions::new(1.0, 0.1);
-        neg.bypass_tol = -1.0;
-        assert!(matches!(
-            Transient::run_adaptive(&nl, &tech(), &neg),
-            Err(SimError::BadParameter(_))
-        ));
+        let mut rows = [AdaptiveOptions::new(1.0, 0.1); 5];
+        rows[0].dt_min = 0.2; // dt_min > dt_max
+        rows[1].bypass_tol = -1.0;
+        // An infinite stop once passed the check and never returned.
+        rows[2].t_stop = f64::INFINITY;
+        rows[3].t_stop = f64::NAN;
+        rows[4].dt_init = f64::NAN;
+        for (i, bad) in rows.iter().enumerate() {
+            assert!(
+                matches!(
+                    Transient::run_adaptive(&nl, &tech(), bad),
+                    Err(SimError::BadParameter(_))
+                ),
+                "row {i}: {bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! multi-scale pulse stimulus the solver benchmark times, plus both
 //! `examples/*.ulp` designs driven by their own `.tran` cards.
 //!
-//! Also pinned here: byte-identical adaptive results at 1 and 4
-//! workers on the `ulp-exec` engine, rejection-path coverage through a
-//! step-discontinuity stimulus, and a property test that tightening
-//! tolerances never loses accuracy.
+//! Also pinned here: a bit-level golden of every one of those runs
+//! (fixed backward Euler, fixed trapezoidal and adaptive), byte-identical
+//! adaptive results at 1 and 4 workers on the `ulp-exec` engine,
+//! rejection-path coverage through a step-discontinuity stimulus, and a
+//! property test that tightening tolerances never loses accuracy.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -19,9 +20,9 @@ use ulp_ir::{flatten, parse};
 use ulp_spice::dcop::NewtonOptions;
 use ulp_spice::mna::SolverKind;
 use ulp_spice::netlist::Waveform;
-use ulp_spice::telemetry::{MetricsCollector, TraceMode};
+use ulp_spice::telemetry::{MetricsCollector, TraceMode, Tracer};
 use ulp_spice::tran::{suggest_dt, AdaptiveOptions, TranOptions, Transient};
-use ulp_spice::Netlist;
+use ulp_spice::{Netlist, SimError, SimMetrics};
 
 /// Every adaptive run must land within this distance of the tight
 /// fixed-step reference, on every unknown at every reference time.
@@ -74,25 +75,196 @@ fn max_dev(run: &Transient, reference: &Transient) -> f64 {
     worst
 }
 
+/// Bit-level golden of every transient this suite runs: per run, an
+/// FNV-1a hash over the `to_bits` of every time point and every unknown,
+/// then the accepted-step, rejected-step, bypassed-device, Newton-attempt
+/// and Newton-iteration counters. Any change to either engine's
+/// arithmetic, step sequence or solve count shows up here.
+const GOLDEN: &[(&str, &str)] = &[
+    (
+        "scl_buffer/be",
+        "46335dc48311d072 points=2001 steps=2000 rejected=0 bypassed=0 attempts=2001 newton=2024",
+    ),
+    (
+        "scl_buffer/trap",
+        "35c13882df0e0e83 points=2001 steps=2000 rejected=0 bypassed=0 attempts=2001 newton=2024",
+    ),
+    (
+        "scl_buffer/adaptive",
+        "3145b362002bc41a points=19 steps=18 rejected=0 bypassed=72 attempts=19 newton=42",
+    ),
+    (
+        "comp_doubletail/be",
+        "9c2aecfd620fa042 points=2001 steps=2000 rejected=0 bypassed=0 attempts=2001 newton=2017",
+    ),
+    (
+        "comp_doubletail/trap",
+        "48c766475d0c31be points=2001 steps=2000 rejected=0 bypassed=0 attempts=2001 newton=2017",
+    ),
+    (
+        "comp_doubletail/adaptive",
+        "c44e52477579f387 points=19 steps=18 rejected=0 bypassed=252 attempts=19 newton=35",
+    ),
+    (
+        "scl-buffer-100p/be",
+        "81bcd0191b524cd9 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2578",
+    ),
+    (
+        "scl-buffer-100p/trap",
+        "66a41d4351bd7ffd points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2671",
+    ),
+    (
+        "scl-buffer-100p/adaptive",
+        "9186cdda4249700f points=89 steps=88 rejected=0 bypassed=460 attempts=89 newton=195",
+    ),
+    (
+        "scl-buffer-1n/be",
+        "731e460162ec44d8 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2576",
+    ),
+    (
+        "scl-buffer-1n/trap",
+        "baefdce748a54d88 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=3309",
+    ),
+    (
+        "scl-buffer-1n/adaptive",
+        "23a5302101f1c281 points=85 steps=84 rejected=0 bypassed=452 attempts=85 newton=184",
+    ),
+    (
+        "scl-buffer-10n/be",
+        "41fd94c5372b18c1 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2576",
+    ),
+    (
+        "scl-buffer-10n/trap",
+        "a8f7dabb9797d381 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=4800",
+    ),
+    (
+        "scl-buffer-10n/adaptive",
+        "99d565b5d01f5d0c points=83 steps=82 rejected=0 bypassed=482 attempts=83 newton=179",
+    ),
+    (
+        "replica-buffer-1n/be",
+        "7c57a9cb2b6d8c49 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2578",
+    ),
+    (
+        "replica-buffer-1n/trap",
+        "7e265945964b4ce3 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=3310",
+    ),
+    (
+        "replica-buffer-1n/adaptive",
+        "767a5002db4ccaf6 points=85 steps=84 rejected=0 bypassed=747 attempts=85 newton=186",
+    ),
+    (
+        "preamp-coupled-1n/be",
+        "cfbea1c09e118a41 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2582",
+    ),
+    (
+        "preamp-coupled-1n/trap",
+        "935350592e069570 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=2751",
+    ),
+    (
+        "preamp-coupled-1n/adaptive",
+        "29c674b5cca99e41 points=96 steps=95 rejected=0 bypassed=48 attempts=96 newton=216",
+    ),
+    (
+        "preamp-decoupled-1n/be",
+        "c5fa395a6b35f877 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=4811",
+    ),
+    (
+        "preamp-decoupled-1n/trap",
+        "f11c3e53218f6150 points=2501 steps=2500 rejected=0 bypassed=0 attempts=2501 newton=4809",
+    ),
+    (
+        "preamp-decoupled-1n/adaptive",
+        "fe2ee58108ac7e4d points=129 steps=128 rejected=0 bypassed=112 attempts=129 newton=281",
+    ),
+    (
+        "step-discontinuity/adaptive",
+        "5ec07755c7262293 points=3192 steps=3191 rejected=7 bypassed=0 attempts=3199 newton=6398",
+    ),
+    (
+        "step-discontinuity/trap",
+        "16c95c05753a0c06 points=5001 steps=5000 rejected=0 bypassed=0 attempts=5001 newton=10002",
+    ),
+];
+
+/// Runs one transient on a fresh counting tracer, appends its golden
+/// line (see [`GOLDEN`]) under `key`, and returns the run and its
+/// counters.
+fn golden_run(
+    golden: &mut Vec<(String, String)>,
+    key: String,
+    run: impl FnOnce(&mut dyn Tracer) -> Result<Transient, SimError>,
+) -> (Transient, SimMetrics) {
+    let mut mc = MetricsCollector::new(TraceMode::Summary);
+    let tr = run(&mut mc).unwrap_or_else(|e| panic!("{key}: {e:?}"));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: f64| {
+        for b in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (i, &t) in tr.time().iter().enumerate() {
+        eat(t);
+        tr.solution(i).iter().for_each(|&v| eat(v));
+    }
+    let m = mc.metrics().clone();
+    let line = format!(
+        "{hash:016x} points={} steps={} rejected={} bypassed={} attempts={} newton={}",
+        tr.len(),
+        m.tran_steps,
+        m.tran_rejected,
+        m.devices_bypassed,
+        m.attempts,
+        m.newton_iterations
+    );
+    golden.push((key, line));
+    (tr, m)
+}
+
+/// Asserts that every `(key, line)` pair matches [`GOLDEN`], listing
+/// all mismatches at once.
+fn assert_golden(got: &[(String, String)]) {
+    let mut bad = Vec::new();
+    for (key, line) in got {
+        let want = GOLDEN.iter().find(|(k, _)| k == key).map(|(_, l)| *l);
+        if want != Some(line.as_str()) {
+            bad.push(format!("    (\"{key}\", \"{line}\"),  // golden: {want:?}"));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "transient golden mismatches:\n{}",
+        bad.join("\n")
+    );
+}
+
 #[test]
 fn adaptive_meets_the_bound_on_all_builder_netlists() {
     let tech = Technology::default();
+    let mut golden = Vec::new();
     for (name, nl) in builder_netlists(&tech) {
         let tau = suggest_dt(&nl, 1.0);
         let t_stop = 50.0 * tau;
         let driven = pulsed_tran_netlist(&nl, tau);
 
-        let reference_opts = TranOptions {
+        let be_opts = TranOptions {
             newton: newton(SolverKind::Sparse),
-            ..TranOptions::new(t_stop, tau / 50.0).trapezoidal()
+            ..TranOptions::new(t_stop, tau / 50.0)
         };
-        let reference =
-            Transient::run(&driven, &tech, &reference_opts).unwrap_or_else(|e| panic!("{name}: reference tran: {e:?}"));
+        golden_run(&mut golden, format!("{name}/be"), |t| {
+            Transient::run_traced(&driven, &tech, &be_opts, t)
+        });
+
+        let reference_opts = be_opts.trapezoidal();
+        let (reference, _) = golden_run(&mut golden, format!("{name}/trap"), |t| {
+            Transient::run_traced(&driven, &tech, &reference_opts, t)
+        });
 
         let mut opts = AdaptiveOptions::new(t_stop, tau);
         opts.newton = newton(SolverKind::Sparse);
-        let adaptive = Transient::run_adaptive(&driven, &tech, &opts)
-            .unwrap_or_else(|e| panic!("{name}: adaptive tran: {e:?}"));
+        let (adaptive, _) = golden_run(&mut golden, format!("{name}/adaptive"), |t| {
+            Transient::run_adaptive_traced(&driven, &tech, &opts, t)
+        });
 
         let dev = max_dev(&adaptive, &reference);
         assert!(dev < BOUND, "{name}: adaptive deviates {dev:e} from the oracle");
@@ -103,6 +275,8 @@ fn adaptive_meets_the_bound_on_all_builder_netlists() {
             reference.len()
         );
     }
+    assert_eq!(golden.len(), 18);
+    assert_golden(&golden);
 }
 
 fn examples_dir() -> PathBuf {
@@ -112,7 +286,7 @@ fn examples_dir() -> PathBuf {
 #[test]
 fn adaptive_meets_the_bound_on_both_ulp_examples() {
     let tech = Technology::default();
-    let mut checked = 0;
+    let mut golden = Vec::new();
     for name in ["scl_buffer", "comp_doubletail"] {
         let text = std::fs::read_to_string(examples_dir().join(format!("{name}.ulp")))
             .expect("read example");
@@ -125,23 +299,30 @@ fn adaptive_meets_the_bound_on_both_ulp_examples() {
 
         let dt_max = card.t_stop / 10.0;
         let dt_max = card.dt_max.unwrap_or(dt_max);
-        let reference_opts = TranOptions {
+        let be_opts = TranOptions {
             newton: newton(SolverKind::Sparse),
-            ..TranOptions::new(card.t_stop, card.t_stop / 2000.0).trapezoidal()
+            ..TranOptions::new(card.t_stop, card.t_stop / 2000.0)
         };
-        let reference = Transient::run(&nl, &tech, &reference_opts)
-            .unwrap_or_else(|e| panic!("{name}: reference tran: {e:?}"));
+        golden_run(&mut golden, format!("{name}/be"), |t| {
+            Transient::run_traced(&nl, &tech, &be_opts, t)
+        });
+
+        let reference_opts = be_opts.trapezoidal();
+        let (reference, _) = golden_run(&mut golden, format!("{name}/trap"), |t| {
+            Transient::run_traced(&nl, &tech, &reference_opts, t)
+        });
 
         let mut opts = AdaptiveOptions::new(card.t_stop, dt_max);
         opts.newton = newton(SolverKind::Sparse);
-        let adaptive = Transient::run_adaptive(&nl, &tech, &opts)
-            .unwrap_or_else(|e| panic!("{name}: adaptive tran: {e:?}"));
+        let (adaptive, _) = golden_run(&mut golden, format!("{name}/adaptive"), |t| {
+            Transient::run_adaptive_traced(&nl, &tech, &opts, t)
+        });
 
         let dev = max_dev(&adaptive, &reference);
         assert!(dev < BOUND, "{name}: adaptive deviates {dev:e} from the oracle");
-        checked += 1;
     }
-    assert_eq!(checked, 2);
+    assert_eq!(golden.len(), 6);
+    assert_golden(&golden);
 }
 
 #[test]
@@ -217,17 +398,22 @@ fn step_discontinuity_exercises_the_rejection_path() {
     // Open at the cap so the controller has to discover the sine's
     // curvature (and the post-step restart) by rejecting.
     opts.dt_init = opts.dt_max;
-    let mut mc = MetricsCollector::new(TraceMode::Summary);
-    let adaptive = Transient::run_adaptive_traced(&nl, &tech, &opts, &mut mc).unwrap();
+    let mut golden = Vec::new();
+    let (adaptive, m) = golden_run(&mut golden, "step-discontinuity/adaptive".into(), |t| {
+        Transient::run_adaptive_traced(&nl, &tech, &opts, t)
+    });
     assert!(
-        mc.metrics().tran_rejected > 0,
+        m.tran_rejected > 0,
         "no rejected steps on the discontinuous stimulus"
     );
 
     let reference_opts = TranOptions::new(t_stop, t_stop / 5000.0).trapezoidal();
-    let reference = Transient::run(&nl, &tech, &reference_opts).unwrap();
+    let (reference, _) = golden_run(&mut golden, "step-discontinuity/trap".into(), |t| {
+        Transient::run_traced(&nl, &tech, &reference_opts, t)
+    });
     let dev = max_dev(&adaptive, &reference);
     assert!(dev < BOUND, "adaptive deviates {dev:e} after rejections");
+    assert_golden(&golden);
 }
 
 /// Shared RC fixture for the tolerance-monotonicity property.
