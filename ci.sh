@@ -101,6 +101,17 @@ cmp results/ir/ledger_j1.txt results/ir/ledger_j4.txt
 rm -f results/ir/scl_buffer.sarif.run1 results/ir/comp_doubletail.sarif.run1
 echo "netlist IR (pipeline + SARIF byte stability + ledger determinism ULP_JOBS=1 vs 4) OK"
 
+# A set-but-invalid ULP_JOBS is a usage error: exit 2 with a message
+# naming the variable, before any work runs — never a panic.
+for bad in 0 abc; do
+    code=0
+    msg=$(ULP_JOBS=$bad cargo run --release -q -p ulp-bench --bin ulp_ir -- \
+        examples/scl_buffer.ulp 2>&1 >/dev/null) || code=$?
+    test "$code" -eq 2
+    grep -q "ULP_JOBS=$bad is invalid" <<<"$msg"
+done
+echo "ULP_JOBS validation (0 and abc exit 2 with the reason) OK"
+
 # Campaign observability: the obs harness runs a 64-die yield campaign
 # and a solver-backed dcop sweep under the span profiler, validates the
 # Chrome trace JSON and the Prometheus exposition with the crate's own
@@ -116,8 +127,8 @@ test -s results/obs/ulp_obs.trace.json
 test -s results/obs/ulp_obs.prom
 echo "campaign observability (trace + ledger determinism ULP_JOBS=1 vs 4) OK"
 
-# Execution engine: the determinism suite must pass on both the strictly
-# serial path and a 4-worker pool — same bytes, different schedule.
+# Execution engine: the determinism suite must pass on one worker (the
+# calling thread) and on four — same bytes, different schedule.
 ULP_JOBS=1 cargo test -q -p integration --test exec_determinism
 ULP_JOBS=4 cargo test -q -p integration --test exec_determinism
 echo "exec determinism (ULP_JOBS=1 and 4) OK"
@@ -210,7 +221,7 @@ if [ "$cores" -ge 4 ]; then
         }'
 else
     # Too few cores for a wall-clock speedup bar — but a 1-core box can
-    # still *prove* schedule-independence: drive the pool through the
+    # still *prove* schedule-independence: drive the claim loop through the
     # ulp-check explorer, which interleaves virtual workers regardless
     # of physical parallelism.
     echo "exec scaling: $cores core(s) — speedup bar replaced by explorer determinism check"
@@ -219,11 +230,18 @@ else
 fi
 
 # Concurrency model check: the bounded schedule explorer drives the
-# shipped pool/deque/cancel code through every bound-2 schedule of a
+# shipped claim-loop/cancel code through every bound-2 schedule of a
 # 2-worker/4-trial campaign (exhaustive), plus a deterministic
 # 64-schedule random walk at bound 3, writing SARIF next to the design
 # lints. The --fault runs assert the toolkit still *detects* seeded
-# defects (racy deque, completion-order fold, dropped cancel record).
+# defects (non-atomic claim counter, completion-order fold, dropped
+# cancel record). One past the --workers/--trials caps is a usage
+# error (exit 2), rejected before any modelled thread starts.
+for over in "--workers 9" "--trials 65"; do
+    code=0
+    cargo run --release -q -p ulp-check --bin ulp_check -- $over 2>/dev/null || code=$?
+    test "$code" -eq 2
+done
 cargo run --release -q -p ulp-check --bin ulp_check -- \
     --workers 2 --trials 4 --bound 2 --sarif results/lint/concurrency.sarif
 test -s results/lint/concurrency.sarif
@@ -236,7 +254,7 @@ cargo run --release -q -p ulp-check --bin ulp_check -- \
     --fault fold --expect-findings > /dev/null
 cargo run --release -q -p ulp-check --bin ulp_check -- \
     --fault cancel --bound 1 --expect-findings > /dev/null
-echo "model check (exhaustive bound 2 + walk 64 @ bound 3 + fault detection) OK"
+echo "model check (exhaustive bound 2 + walk 64 @ bound 3 + fault detection + flag caps) OK"
 
 # Opt-in deep checks: Miri (interpreter-level UB detection) and
 # ThreadSanitizer need toolchain components this container may not

@@ -16,9 +16,11 @@
 //!    honestly `unproven` — an info-level finding, not a defect);
 //! 5. expands `.tech`/`.sweep` into a [`ulp_ir::SweepPlan`] and solves
 //!    every point on an `ulp-exec` ensemble (worker count from
-//!    `ULP_JOBS`), printing a solution digest; `--ledger-out FILE`
-//!    writes the campaign cost ledgers, which are byte-identical at
-//!    any `ULP_JOBS` (ci.sh proves it with `cmp`).
+//!    `ULP_JOBS`, resolved once at start: an invalid value exits 2
+//!    with the reason before any work runs), printing a solution
+//!    digest; `--ledger-out FILE` writes the campaign cost ledgers,
+//!    which are byte-identical at any `ULP_JOBS` (ci.sh proves it with
+//!    `cmp`).
 //!
 //! The merged per-design report is written to `results/ir/<name>.sarif`
 //! (two runs are byte-identical; ci.sh proves that with `cmp` too).
@@ -106,12 +108,13 @@ fn analyze(nl: &Netlist, tech: &Technology, config: &LintConfig) -> ErcReport {
 /// Solves every sweep point on the ensemble and returns
 /// `(points, digest, ledger)` — digest folds every unknown's bit
 /// pattern so any cross-worker nondeterminism is visible in one u64.
-fn run_sweep(design: &Design, name: &str) -> Result<(usize, u64, String), SweepError> {
+fn run_sweep(design: &Design, name: &str, jobs: usize) -> Result<(usize, u64, String), SweepError> {
     let plan = SweepPlan::build(design)?;
     let n = plan.len();
     let shared = plan.clone();
     let (results, report) = Ensemble::new(n)
         .seed(20260808)
+        .jobs(jobs)
         .label(&format!("ir-sweep-{name}"))
         .run_with_report(move |ctx: &mut ulp_exec::TrialCtx| {
             let point = shared.point(ctx.index());
@@ -173,6 +176,10 @@ fn main() {
             file => files.push(PathBuf::from(file)),
         }
     }
+    let jobs = ulp_exec::jobs_from_env().unwrap_or_else(|err| {
+        eprintln!("ulp-ir: {err}");
+        std::process::exit(2);
+    });
     if files.is_empty() {
         files = default_examples();
     }
@@ -221,7 +228,7 @@ fn main() {
             );
         }
 
-        let sweep = match run_sweep(&design, &name) {
+        let sweep = match run_sweep(&design, &name, jobs) {
             Ok((n, digest, ledger)) => {
                 ledgers.push_str(&format!("# {name}\n{ledger}\n"));
                 format!("sweep {n:>3} pts digest {digest:016x}")

@@ -15,7 +15,8 @@
 //! The counter-only ledger written by `--ledger-out` excludes worker
 //! identity and wall-clock time, so it is byte-identical at any
 //! `ULP_JOBS` — ci.sh compares the `ULP_JOBS=1` and `ULP_JOBS=4`
-//! ledgers with `cmp`. Unlike the figure binaries, this harness
+//! ledgers with `cmp`. An invalid `ULP_JOBS` exits 2 with the reason
+//! before any campaign runs. Unlike the figure binaries, this harness
 //! installs `ULP_TRACE=spans` itself when no trace mode is set in the
 //! environment, so it is self-contained.
 
@@ -67,15 +68,19 @@ fn main() {
     let mode = TraceMode::from_env().unwrap_or(TraceMode::Spans);
     telemetry::install_global(mode);
     let args = parse_args();
+    let jobs = ulp_exec::jobs_from_env().unwrap_or_else(|err| {
+        eprintln!("ulp_obs: {err}");
+        std::process::exit(2);
+    });
     ulp_bench::harness(
         "ulp_obs",
         "OBS",
         "campaign observability: span profiler, cost ledger, metrics pipeline",
-        || body(&args),
+        || body(&args, jobs),
     );
 }
 
-fn body(args: &Args) {
+fn body(args: &Args, jobs: usize) {
     let tech = Technology::default();
 
     // Campaign 1: the paper's Fig. 11 mismatch/yield ensemble. The die
@@ -100,6 +105,7 @@ fn body(args: &Args) {
     println!("--- campaign: STSCL buffer dcop sweep, 16 bias points ---");
     let params = SclParams::default();
     let dcops = ulp_exec::Ensemble::new(16)
+        .jobs(jobs)
         .label("obs::dcop")
         .run(|ctx: &mut ulp_exec::TrialCtx| {
             let iss = 10e-12 * 10f64.powf(ctx.index() as f64 * 3.0 / 15.0);

@@ -7,6 +7,11 @@
 //!           [--sarif PATH] [--expect-findings]
 //! ```
 //!
+//! Every modelled worker is a real thread, so `--workers` is capped at
+//! 8 and `--trials` at 64 (2–3 workers and 4–8 trials are what
+//! exhaustive exploration can afford); a larger value is a usage error
+//! before any thread starts.
+//!
 //! Exit status: 0 when the outcome matches expectation (clean by
 //! default, defective with `--expect-findings`), 1 on mismatch, 2 on
 //! usage errors.
@@ -14,6 +19,11 @@
 use std::process::ExitCode;
 
 use ulp_check::{explore, Config, Fault, PoolModel, Scenario};
+
+/// Largest accepted `--workers`.
+const MAX_WORKERS: usize = 8;
+/// Largest accepted `--trials`.
+const MAX_TRIALS: usize = 64;
 
 struct Args {
     workers: usize,
@@ -63,7 +73,7 @@ fn parse() -> Result<Args, String> {
             "--fault" => {
                 args.fault = match value("--fault")?.as_str() {
                     "none" => Fault::None,
-                    "race" => Fault::RacyDeque,
+                    "race" => Fault::RacyClaim,
                     "fold" => Fault::CompletionOrderFold,
                     "cancel" => Fault::DroppedCancelResult,
                     other => return Err(format!("unknown fault `{other}`")),
@@ -77,6 +87,18 @@ fn parse() -> Result<Args, String> {
     }
     if args.workers == 0 || args.trials == 0 {
         return Err("--workers and --trials must be positive".to_string());
+    }
+    if args.workers > MAX_WORKERS {
+        return Err(format!(
+            "--workers {} exceeds the cap of {MAX_WORKERS}",
+            args.workers
+        ));
+    }
+    if args.trials > MAX_TRIALS {
+        return Err(format!(
+            "--trials {} exceeds the cap of {MAX_TRIALS}",
+            args.trials
+        ));
     }
     Ok(args)
 }

@@ -10,8 +10,8 @@
 //!   count is below the context bound (iterative context bounding, the
 //!   CHESS insight: almost all concurrency bugs need very few
 //!   preemptions);
-//! * a **forced switch** — the current thread blocked, parked or
-//!   finished — always branches over every runnable thread and costs
+//! * a **forced switch** — the current thread blocked or finished —
+//!   always branches over every runnable thread and costs
 //!   nothing against the bound.
 //!
 //! Exhaustive mode replays the campaign under depth-first search over
@@ -406,20 +406,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::RaceCell;
-    use ulp_exec::sync::{SyncFlag, SyncMutex, SyncParker, SyncProvider};
+    use crate::sync::{Mutex, RaceCell};
+    use ulp_exec::sync::{SyncFlag, SyncProvider};
     use ulp_spice::lint::rule;
 
-    type VMutex<T> = <crate::Virtual as SyncProvider>::Mutex<T>;
     type VFlag = <crate::Virtual as SyncProvider>::AtomicBool;
-    type VParker = <crate::Virtual as SyncProvider>::Parker;
 
     #[test]
     fn opposite_lock_order_deadlocks_on_some_schedule() {
         let report = explore_fn(
             &Config::exhaustive(2),
             2,
-            || (VMutex::new(()), VMutex::new(())),
+            || (Mutex::new(()), Mutex::new(())),
             |tid, (a, b)| {
                 // Thread 0 takes a then b, thread 1 takes b then a: a
                 // preemption between the two acquires deadlocks.
@@ -433,7 +431,7 @@ mod tests {
         let bound0 = explore_fn(
             &Config::exhaustive(0),
             2,
-            || (VMutex::new(()), VMutex::new(())),
+            || (Mutex::new(()), Mutex::new(())),
             |tid, (a, b)| {
                 let (first, second) = if tid == 0 { (a, b) } else { (b, a) };
                 first.with(|_| second.with(|_| ()));
@@ -482,32 +480,6 @@ mod tests {
             |_| vec![],
         );
         assert!(racy.has_rule(rule::RACE), "{racy:?}");
-    }
-
-    #[test]
-    fn parker_token_semantics_hold_under_exploration() {
-        // t1 parks; t0 writes a value and unparks. The unpark
-        // happens-before the park's return, so the read is ordered even
-        // though the cell itself is unsynchronized. Token semantics
-        // (unpark-before-park returns immediately) keep every schedule
-        // deadlock-free.
-        let report = explore_fn(
-            &Config::exhaustive(2),
-            2,
-            || (VParker::new(), RaceCell::new("handoff", 0u64)),
-            |tid, (parker, cell)| {
-                if tid == 0 {
-                    cell.with_write(|v| *v = 7);
-                    parker.unpark();
-                } else {
-                    parker.park();
-                    cell.with_read(|v| assert_eq!(*v, 7));
-                }
-            },
-            |_| vec![],
-        );
-        assert!(report.is_clean(), "{report:?}");
-        assert!(!report.has_rule(rule::SCHEDULE_DEADLOCK));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `ulp-exec` pool model: a scaled-down campaign (2–3 workers,
 //! 4–8 trials) run through the **shipped** scheduling code —
-//! [`ulp_exec::pool::deal`], [`ulp_exec::pool::worker_loop`],
-//! [`WorkDeque`], [`CancelToken`] — instantiated with the [`Virtual`]
-//! provider, under every schedule the explorer generates.
+//! [`ulp_exec::pool::worker_loop`] claiming from one virtual counter,
+//! and [`CancelToken`] — instantiated with the [`Virtual`] provider,
+//! under every schedule the explorer generates.
 //!
 //! The invariant checked on each schedule is the engine's determinism
 //! contract: every trial gathered exactly once, every gathered value
@@ -13,29 +13,26 @@
 //! realistic regression of the real engine, so the test suite can
 //! assert the explorer/auditor actually fires:
 //!
-//! * [`Fault::RacyDeque`] — the deque's mutex "optimized away"
-//!   ([`RaceCell`] instead of a lock) → `race`;
+//! * [`Fault::RacyClaim`] — the claim counter's atomic fetch-add
+//!   "optimized" into a plain `next += 1` (a [`RaceCell`] read, then a
+//!   write) → `race`, and a trial gathered twice;
 //! * [`Fault::CompletionOrderFold`] — telemetry folded in completion
 //!   order instead of index order → `non-deterministic-fold`;
 //! * [`Fault::DroppedCancelResult`] — a late cancellation check that
 //!   drops an already-computed result record → `lost-cancel`.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SplitMix64;
 use rand::{RngCore, SeedableRng};
 
-use ulp_exec::deque::WorkDeque;
 use ulp_exec::pool;
-use ulp_exec::sync::{SyncCounter, SyncMutex, SyncProvider};
+use ulp_exec::sync::{SyncCounter, SyncProvider};
 use ulp_exec::CancelToken;
 use ulp_spice::lint::rule;
 
 use crate::report::Finding;
-use crate::sync::{RaceCell, Virtual};
+use crate::sync::{Mutex, RaceCell, Virtual};
 use crate::Scenario;
 
-type VMutex<T> = <Virtual as SyncProvider>::Mutex<T>;
 type VAtomicUsize = <Virtual as SyncProvider>::AtomicUsize;
 
 /// A deliberately broken variant of the pool, or none.
@@ -43,8 +40,8 @@ type VAtomicUsize = <Virtual as SyncProvider>::AtomicUsize;
 pub enum Fault {
     /// The shipped, healthy pool.
     None,
-    /// Deques stripped of their lock: raw shared `VecDeque`s.
-    RacyDeque,
+    /// The claim counter as a plain `next += 1`: a read, then a write.
+    RacyClaim,
     /// Telemetry folded in completion order.
     CompletionOrderFold,
     /// A result record dropped when cancellation lands mid-trial.
@@ -142,22 +139,6 @@ impl PoolModel {
         }
     }
 
-    /// The `RacyDeque` drain loop: same pop-own-then-steal shape as
-    /// [`pool::worker_loop`], but over lockless cells.
-    fn racy_loop(&self, w: usize, state: &PoolState) -> Vec<(usize, Option<Trial>)> {
-        let n = state.racy.len();
-        let mut out = Vec::new();
-        loop {
-            let next = state.racy[w].with_write(|q| q.pop_back()).or_else(|| {
-                (1..n).find_map(|k| state.racy[(w + k) % n].with_write(|q| q.pop_front()))
-            });
-            match next {
-                Some(trial) => out.push((trial, self.run_one(trial, state))),
-                None => return out,
-            }
-        }
-    }
-
     /// Order-sensitive fold a broken implementation might compute from
     /// a completion log.
     fn order_hash(log: &[usize]) -> u64 {
@@ -166,14 +147,38 @@ impl PoolModel {
     }
 }
 
+/// The model's claim counter: the shipped virtual atomic, or under
+/// [`Fault::RacyClaim`] the same claim split into an unordered read
+/// and write.
+enum Claim {
+    Atomic(VAtomicUsize),
+    Racy(RaceCell<usize>),
+}
+
+impl SyncCounter for Claim {
+    fn new(value: usize) -> Self {
+        Claim::Atomic(VAtomicUsize::new(value))
+    }
+
+    fn fetch_add_acq_rel(&self, n: usize) -> usize {
+        match self {
+            Claim::Atomic(next) => next.fetch_add_acq_rel(n),
+            Claim::Racy(next) => {
+                let claimed = next.with_read(|v| *v);
+                next.with_write(|v| *v = claimed + n);
+                claimed
+            }
+        }
+    }
+}
+
 /// Shared state of one modelled campaign.
 pub struct PoolState {
-    deques: Vec<WorkDeque<usize, Virtual>>,
-    racy: Vec<RaceCell<VecDeque<usize>>>,
+    next: Claim,
     cancel: CancelToken<Virtual>,
     progress: VAtomicUsize,
-    batches: Vec<VMutex<Vec<(usize, Trial)>>>,
-    log: VMutex<Vec<usize>>,
+    batches: Vec<Mutex<Vec<(usize, Trial)>>>,
+    log: Mutex<Vec<usize>>,
 }
 
 impl Scenario for PoolModel {
@@ -184,30 +189,16 @@ impl Scenario for PoolModel {
     }
 
     fn setup(&self) -> PoolState {
-        let deques = if self.fault == Fault::RacyDeque {
-            Vec::new()
-        } else {
-            pool::deal::<Virtual>(self.trials, self.workers)
-        };
-        let racy = if self.fault == Fault::RacyDeque {
-            // Same round-robin deal as `pool::deal`, minus the lock.
-            let cells: Vec<RaceCell<VecDeque<usize>>> = (0..self.workers)
-                .map(|w| RaceCell::new(&format!("deque-{w}"), VecDeque::new()))
-                .collect();
-            for trial in 0..self.trials {
-                cells[trial % self.workers].with_write(|q| q.push_back(trial));
-            }
-            cells
-        } else {
-            Vec::new()
-        };
         PoolState {
-            deques,
-            racy,
+            next: if self.fault == Fault::RacyClaim {
+                Claim::Racy(RaceCell::new("claim-counter", 0))
+            } else {
+                Claim::new(0)
+            },
             cancel: CancelToken::new(),
             progress: VAtomicUsize::new(0),
-            batches: (0..self.workers).map(|_| VMutex::new(Vec::new())).collect(),
-            log: VMutex::new(Vec::new()),
+            batches: (0..self.workers).map(|_| Mutex::new(Vec::new())).collect(),
+            log: Mutex::new(Vec::new()),
         }
     }
 
@@ -218,11 +209,9 @@ impl Scenario for PoolModel {
             state.cancel.cancel();
             return;
         }
-        let batch = if self.fault == Fault::RacyDeque {
-            self.racy_loop(tid, state)
-        } else {
-            pool::worker_loop(tid, &state.deques, &|trial, _w| self.run_one(trial, state))
-        };
+        let batch = pool::worker_loop(tid, &state.next, self.trials, &|trial, _w| {
+            self.run_one(trial, state)
+        });
         // The engine gathers per-worker batches; dropped records
         // (`None` from the faulty run_one) vanish here, exactly like a
         // result slot never written.
@@ -244,7 +233,7 @@ impl Scenario for PoolModel {
                         Finding::new(
                             rule::RACE,
                             format!("slot {trial}"),
-                            format!("trial {trial} was gathered twice — the deque double-issued it"),
+                            format!("trial {trial} was gathered twice — the claim counter issued it twice"),
                         )
                         .with_threads([self.thread_name(w)]),
                     );

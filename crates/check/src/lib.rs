@@ -3,10 +3,11 @@
 //!
 //! The engine's scheduling core is generic over
 //! [`ulp_exec::sync::SyncProvider`]. Production builds use `StdSync`
-//! (plain `std::sync`, zero overhead); this crate supplies [`Virtual`],
-//! a provider that routes every acquire, release, load, store, park and
-//! unpark through a deterministic virtual scheduler. On top of that
-//! seam sit:
+//! (plain `std::sync::atomic`, zero overhead); this crate supplies
+//! [`Virtual`], a provider that routes every load, store and
+//! read-modify-write through a deterministic virtual scheduler, plus a
+//! virtual [`sync::Mutex`] of its own for model harnesses. On top of
+//! that seam sit:
 //!
 //! * a **bounded schedule explorer** ([`explore`](fn@explore), [`Config`]) —
 //!   depth-first enumeration of every interleaving within a preemption
@@ -17,8 +18,8 @@
 //!   [`RaceCell`] accesses (logically unsynchronized shared data) are
 //!   checked against it, djit+-style;
 //! * the **pool model** ([`PoolModel`]) — a scaled-down `ulp-exec`
-//!   campaign run through the *shipped* `pool::deal`/`pool::worker_loop`
-//!   code on every explored schedule, asserting the determinism
+//!   campaign run through the *shipped* `pool::worker_loop` claim loop
+//!   on every explored schedule, asserting the determinism
 //!   contract (every trial gathered once, bit-identical to the serial
 //!   reference, cancellation never leaving a hole), with [`Fault`]
 //!   variants that re-introduce real defects so tests can assert the
@@ -35,7 +36,6 @@
 //!
 //! ```
 //! use ulp_check::{explore_fn, Config, RaceCell};
-//! use ulp_exec::sync::SyncMutex;
 //!
 //! // Unsynchronized: two writes, no happens-before edge between them.
 //! let racy = explore_fn(

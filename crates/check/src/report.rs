@@ -142,7 +142,7 @@ impl Report {
 fn hint_for(rule_id: &str) -> &'static str {
     match rule_id {
         rule::RACE => {
-            "order the two accesses: protect the data with a SyncMutex or \
+            "order the two accesses: make the update one atomic read-modify-write or \
              publish it through a release store / acquire load on the SyncProvider seam"
         }
         rule::NON_DETERMINISTIC_FOLD => {

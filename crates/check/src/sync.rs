@@ -2,11 +2,16 @@
 //! routed through the model-checking scheduler.
 //!
 //! [`Virtual`] implements [`SyncProvider`], so the engine's generic
-//! scheduling code ([`ulp_exec::pool`], [`ulp_exec::deque::WorkDeque`],
+//! scheduling code ([`ulp_exec::pool::worker_loop`],
 //! [`ulp_exec::CancelToken`]) instantiates with it unchanged — the
 //! model checker drives the shipped code, not a re-implementation.
-//! Every operation is a preemption point; mutexes and release/acquire
-//! atomics contribute happens-before edges to the vector clocks.
+//! Every operation is a preemption point; release/acquire atomics
+//! contribute happens-before edges to the vector clocks.
+//!
+//! [`Mutex`] is the checker's own: the engine ships no lock, but model
+//! harnesses need one (the pool model's gather, the deadlock
+//! self-test), and its acquire/release are preemption points and
+//! happens-before edges like any other virtual operation.
 //!
 //! [`RaceCell`] is the deliberate opposite: physically safe (a real
 //! mutex underneath, though the scheduler serializes everything
@@ -21,7 +26,7 @@
 
 use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 
-use ulp_exec::sync::{SyncCounter, SyncFlag, SyncMutex, SyncParker, SyncProvider, SyncWord};
+use ulp_exec::sync::{SyncCounter, SyncFlag, SyncProvider};
 
 use crate::sched::{current, ObjKind, SchedShared};
 
@@ -36,11 +41,8 @@ fn scheduler() -> Arc<SchedShared> {
 pub struct Virtual;
 
 impl SyncProvider for Virtual {
-    type Mutex<T: Send> = Mutex<T>;
     type AtomicBool = AtomicBool;
     type AtomicUsize = AtomicUsize;
-    type AtomicU64 = AtomicU64;
-    type Parker = Parker;
 }
 
 /// A scheduler-instrumented mutex: acquire and release are preemption
@@ -52,8 +54,9 @@ pub struct Mutex<T> {
     data: StdMutex<T>,
 }
 
-impl<T: Send> SyncMutex<T> for Mutex<T> {
-    fn new(value: T) -> Self {
+impl<T: Send> Mutex<T> {
+    /// Wraps `value`.
+    pub fn new(value: T) -> Self {
         let shared = scheduler();
         let obj = shared.register(ObjKind::Mutex { held: false }, "mutex");
         Mutex {
@@ -63,7 +66,8 @@ impl<T: Send> SyncMutex<T> for Mutex<T> {
         }
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+    /// Runs `f` with exclusive access to the protected value.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.shared.mutex_acquire(self.obj);
         let r = {
             let mut guard = self.data.lock().unwrap_or_else(PoisonError::into_inner);
@@ -112,58 +116,6 @@ impl SyncCounter for AtomicUsize {
 
     fn fetch_add_acq_rel(&self, n: usize) -> usize {
         self.shared.atomic_rmw(self.obj, |v| v + n as u64) as usize
-    }
-
-    fn load_acquire(&self) -> usize {
-        self.shared.atomic_load(self.obj) as usize
-    }
-}
-
-/// A scheduler-instrumented 64-bit word.
-pub struct AtomicU64 {
-    shared: Arc<SchedShared>,
-    obj: usize,
-}
-
-impl SyncWord for AtomicU64 {
-    fn new(value: u64) -> Self {
-        let shared = scheduler();
-        let obj = shared.register(ObjKind::Atomic { value }, "atomic-u64");
-        AtomicU64 { shared, obj }
-    }
-
-    fn load_acquire(&self) -> u64 {
-        self.shared.atomic_load(self.obj)
-    }
-
-    fn store_release(&self, value: u64) {
-        self.shared.atomic_store(self.obj, value)
-    }
-
-    fn fetch_max_acq_rel(&self, value: u64) -> u64 {
-        self.shared.atomic_rmw(self.obj, |v| v.max(value))
-    }
-}
-
-/// A scheduler-instrumented park/unpark pair with token semantics.
-pub struct Parker {
-    shared: Arc<SchedShared>,
-    obj: usize,
-}
-
-impl SyncParker for Parker {
-    fn new() -> Self {
-        let shared = scheduler();
-        let obj = shared.register(ObjKind::Parker { token: false }, "parker");
-        Parker { shared, obj }
-    }
-
-    fn park(&self) {
-        self.shared.park(self.obj)
-    }
-
-    fn unpark(&self) {
-        self.shared.unpark(self.obj)
     }
 }
 

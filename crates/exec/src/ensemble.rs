@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use ulp_spice::telemetry;
 
 /// Resolves the worker count from the `ULP_JOBS` environment variable:
-/// a positive integer is taken literally (`1` selects the strictly
-/// serial in-thread path); unset or empty falls back to the machine's
+/// a positive integer is taken literally (`1` runs every trial on the
+/// calling thread); unset or empty falls back to the machine's
 /// available parallelism.
 ///
 /// # Panics
@@ -245,12 +245,13 @@ impl Pacer {
 
 /// A campaign of `N` indexed trials: the engine's entry point.
 ///
-/// `run` executes the [`Job`] once per trial on a work-stealing pool of
-/// `jobs` workers (default: `ULP_JOBS`, else available parallelism) and
-/// gathers results **by trial index**, so reductions downstream see
-/// index order no matter which worker finished first. With `jobs = 1`
-/// everything runs in the calling thread — no threads are spawned at
-/// all — and the engine's contract is that both paths produce
+/// `run` executes the [`Job`] once per trial on `jobs` workers
+/// (default: `ULP_JOBS`, else available parallelism), each claiming the
+/// next unstarted trial from one shared counter, and gathers results
+/// **by trial index**, so reductions downstream see index order no
+/// matter which worker finished first. With `jobs = 1` the one worker
+/// is the calling thread — no threads are spawned at all — and the
+/// engine's contract is that every worker count produces
 /// byte-identical results.
 pub struct Ensemble {
     trials: usize,
@@ -477,27 +478,25 @@ impl Ensemble {
             (result, cost)
         };
 
+        // Every worker runs the same claim loop on one shared counter;
+        // a lone worker runs it on the calling thread, with no spawn.
+        let next = <StdSync as SyncProvider>::AtomicUsize::new(0);
+        let claim = |w: usize| {
+            telemetry::worker_capture_on(w, || pool::worker_loop(w, &next, total, &run_one))
+        };
         // Per-worker (batch, collector) pairs, in worker-index order.
         type WorkerBatch<T> = (
             Vec<(usize, (Result<T, TrialError>, TrialCost))>,
             Option<telemetry::MetricsCollector>,
         );
         let worker_batches: Vec<WorkerBatch<J::Output>> = if jobs == 1 {
-            // Strictly serial fallback: the calling thread, no pool.
-            vec![telemetry::worker_capture_on(0, || {
-                (0..total).map(|t| (t, run_one(t, 0))).collect()
-            })]
+            vec![claim(0)]
         } else {
-            let deques = pool::deal::<StdSync>(total, jobs);
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|w| {
-                        let (deques, run_one) = (&deques, &run_one);
-                        s.spawn(move || {
-                            telemetry::worker_capture_on(w, || {
-                                pool::worker_loop(w, deques, run_one)
-                            })
-                        })
+                        let claim = &claim;
+                        s.spawn(move || claim(w))
                     })
                     .collect();
                 handles
@@ -686,6 +685,43 @@ mod tests {
         let results = Ensemble::new(2).jobs(64).run(|ctx: &mut TrialCtx| ctx.index());
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn idle_workers_claim_every_trial_a_slow_one_leaves() {
+        // Trial 0 holds its worker until every other trial has
+        // finished, so the remaining workers must claim all of 1..N;
+        // any static partition of the indices leaves some of them
+        // queued behind trial 0 and trips the deadline.
+        const N: usize = 24;
+        let reference = Ensemble::new(N).seed(9).jobs(1).run(noisy_trial);
+        for jobs in [2, 4] {
+            let finished = AtomicUsize::new(0);
+            let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+            let ensemble = Ensemble::new(N).seed(9).jobs(jobs);
+            let results = ensemble.run(|ctx: &mut TrialCtx| {
+                runs[ctx.index()].fetch_add(1, Ordering::Relaxed);
+                if ctx.index() == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    while finished.load(Ordering::Acquire) < N - 1 {
+                        assert!(
+                            Instant::now() < deadline,
+                            "trials 1..{N} were not drained by the other {} worker(s)",
+                            jobs - 1
+                        );
+                        std::thread::yield_now();
+                    }
+                }
+                let out = noisy_trial(ctx);
+                finished.fetch_add(1, Ordering::Release);
+                out
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "jobs {jobs}"
+            );
+            assert_eq!(results, reference, "jobs {jobs}");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! parallel campaign — mismatch dies for the Fig. 11 INL/DNL ensemble
 //! and parametric yield, PVT corner grids for the replica-bias check,
 //! fs/VDD/ISS sweeps for the chip-summary table. This crate is the
-//! scheduling substrate they all share: a std-only work-stealing thread
-//! pool (per-worker [`deque::WorkDeque`]s, round-robin deal, neighbour
-//! stealing) under a [`Job`]/[`Ensemble`] API that runs a closure over
-//! `N` indexed trials and gathers the results by trial index.
+//! scheduling substrate they all share: std-only worker threads that
+//! each claim the next unstarted trial from one shared counter
+//! ([`pool::worker_loop`]), under a [`Job`]/[`Ensemble`] API that runs
+//! a closure over `N` indexed trials and gathers the results by trial
+//! index.
 //!
 //! # The determinism contract
 //!
@@ -21,8 +22,8 @@
 //! * results are gathered **by trial index** and reduced in index
 //!   order ([`Ensemble::run_reduce`]), so a reduction never observes
 //!   scheduling;
-//! * worker count changes wall-clock time only: `ULP_JOBS=1` (the
-//!   strictly serial in-thread path) and `ULP_JOBS=64` produce the same
+//! * worker count changes wall-clock time only: `ULP_JOBS=1` (the one
+//!   worker is the calling thread) and `ULP_JOBS=64` produce the same
 //!   bytes.
 //!
 //! # Failure and control
@@ -76,20 +77,19 @@
 
 //! # Verifying the contract, not just observing it
 //!
-//! Every synchronization primitive the engine touches goes through the
+//! Every atomic the scheduling core touches goes through the
 //! [`sync::SyncProvider`] seam: [`sync::StdSync`] (the default) *is*
-//! `std::sync` after monomorphization, while the `ulp-check` crate
-//! substitutes a virtual provider whose every acquire/release/load/
-//! store is a preemption point of a bounded schedule explorer with a
-//! vector-clock race auditor. The scheduling core ([`pool`], [`deque`],
-//! [`cancel`]) is therefore model-checked as shipped — see DESIGN.md
-//! "Concurrency model" for the happens-before contract and how to run
-//! the explorer locally.
+//! `std::sync::atomic` after monomorphization, while the `ulp-check`
+//! crate substitutes a virtual provider whose every load/store/RMW is
+//! a preemption point of a bounded schedule explorer with a
+//! vector-clock race auditor. The scheduling core ([`pool`]'s claim
+//! loop, [`cancel`]) is therefore model-checked as shipped — see
+//! DESIGN.md "Concurrency model" for the happens-before contract and
+//! how to run the explorer locally.
 
 #![forbid(unsafe_code)]
 
 pub mod cancel;
-pub mod deque;
 pub mod ensemble;
 pub mod error;
 pub mod obs;

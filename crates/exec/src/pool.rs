@@ -1,110 +1,72 @@
-//! The work-stealing scheduling core.
+//! The scheduling core: one shared claim counter.
 //!
-//! A campaign's trial indices are dealt round-robin across one
-//! [`WorkDeque`] per worker up front; each worker drains its own deque
-//! bottom-first and, when empty, sweeps the other deques (starting from
-//! its right-hand neighbour, so thieves spread out) stealing from the
-//! top. No work is ever added after the deal, so "every deque observed
-//! empty once" is a sound termination condition — no condition
+//! A campaign's trials are the indices `0..total`, all known up front.
+//! Every worker runs the same loop: an `AcqRel` fetch-add on one shared
+//! counter claims the next unstarted index, and a claim at or past
+//! `total` ends the loop. Each index is returned by exactly one
+//! fetch-add, so each trial runs exactly once; a worker held up by a
+//! slow trial simply claims less, which is all the load balance a
+//! fixed work set needs — no queues, no stealing, no condition
 //! variables, no spinning.
 //!
-//! Both functions are generic over a [`SyncProvider`] and `pub`: this
+//! [`worker_loop`] is generic over a [`SyncCounter`] and `pub`: this
 //! module *is* the code the `ulp-check` model checker drives through a
 //! virtual scheduler, so the schedule explorer exercises the shipped
-//! deal/steal/drain logic, not a re-implementation. Production callers
-//! ([`crate::Ensemble`]) instantiate it with [`StdSync`](crate::sync::StdSync),
-//! which monomorphizes back to the plain `std::sync` code.
+//! claim loop, not a re-implementation. Production callers
+//! ([`crate::Ensemble`]) pass the [`StdSync`](crate::sync::StdSync)
+//! counter, a plain `std::sync::atomic::AtomicUsize`.
 
-use crate::deque::WorkDeque;
-use crate::sync::SyncProvider;
+use crate::sync::SyncCounter;
 
-/// Deals trials `0..total` round-robin across `jobs` deques.
-pub fn deal<P: SyncProvider>(total: usize, jobs: usize) -> Vec<WorkDeque<usize, P>> {
-    let deques: Vec<WorkDeque<usize, P>> = (0..jobs).map(|_| WorkDeque::new()).collect();
-    for trial in 0..total {
-        deques[trial % jobs].push(trial);
-    }
-    deques
-}
-
-/// One worker's drain loop: runs `run_one(trial, worker)` for every
-/// trial it pops or steals, collecting `(trial, result)` pairs in
-/// completion order. The caller reassembles results by trial index, so
-/// the order here carries no meaning.
-pub fn worker_loop<T, P: SyncProvider>(
+/// One worker's claim loop: claims trial indices from `next` until one
+/// reaches `total`, running `run_one(trial, worker)` on each and
+/// collecting `(trial, result)` pairs in claim order. The caller
+/// reassembles results by trial index, so the order here carries no
+/// meaning.
+pub fn worker_loop<T>(
     worker: usize,
-    deques: &[WorkDeque<usize, P>],
+    next: &impl SyncCounter,
+    total: usize,
     run_one: &(impl Fn(usize, usize) -> T + Sync),
 ) -> Vec<(usize, T)> {
     let mut out = Vec::new();
     loop {
-        let next = deques[worker].pop().or_else(|| {
-            (1..deques.len()).find_map(|k| deques[(worker + k) % deques.len()].steal())
-        });
-        match next {
-            Some(trial) => out.push((trial, run_one(trial, worker))),
-            None => return out,
+        let trial = next.fetch_add_acq_rel(1);
+        if trial >= total {
+            return out;
         }
+        out.push((trial, run_one(trial, worker)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::StdSync;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn deal_partitions_every_trial_exactly_once() {
-        let deques = deal::<StdSync>(10, 3);
-        assert_eq!(deques.len(), 3);
-        assert_eq!(
-            deques.iter().map(WorkDeque::len).collect::<Vec<_>>(),
-            vec![4, 3, 3]
-        );
-        let mut seen: Vec<usize> = deques.iter().flat_map(|d| {
-            let mut v = Vec::new();
-            while let Some(t) = d.pop() {
-                v.push(t);
-            }
-            v
-        }).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn lone_worker_drains_everything() {
-        let deques = deal::<StdSync>(7, 1);
-        let out = worker_loop(0, &deques, &|t, w| {
+        let next = AtomicUsize::new(0);
+        let out = worker_loop(0, &next, 7, &|t, w| {
             assert_eq!(w, 0);
             t * t
         });
-        assert_eq!(out.len(), 7);
-        for (t, v) in out {
-            assert_eq!(v, t * t);
-        }
+        assert_eq!(out, (0..7).map(|t| (t, t * t)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn thieves_finish_a_lopsided_deal() {
-        // All work dealt to worker 0's deque; three thieves must still
-        // drain it to completion with nothing run twice.
-        let deques: Vec<WorkDeque<usize>> = (0..4).map(|_| WorkDeque::new()).collect();
-        for t in 0..100 {
-            deques[0].push(t);
-        }
-        let runs = AtomicUsize::new(0);
+    fn claims_hand_out_every_trial_exactly_once() {
+        let next = AtomicUsize::new(0);
+        let runs: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
         let run_one = |t: usize, _w: usize| {
-            runs.fetch_add(1, Ordering::Relaxed);
+            runs[t].fetch_add(1, Ordering::Relaxed);
             t
         };
         let mut all: Vec<(usize, usize)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|w| {
-                    let deques = &deques;
-                    let run_one = &run_one;
-                    s.spawn(move || worker_loop(w, deques, run_one))
+                    let (next, run_one) = (&next, &run_one);
+                    s.spawn(move || worker_loop(w, next, 100, run_one))
                 })
                 .collect();
             handles
@@ -112,8 +74,8 @@ mod tests {
                 .flat_map(|h| h.join().expect("worker must not panic"))
                 .collect()
         });
-        assert_eq!(runs.load(Ordering::Relaxed), 100);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
         all.sort_unstable();
-        assert_eq!(all.iter().map(|&(t, _)| t).collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
+        assert_eq!(all, (0..100).map(|t| (t, t)).collect::<Vec<_>>());
     }
 }

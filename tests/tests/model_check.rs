@@ -1,7 +1,7 @@
 //! Model-checking the `ulp-exec` scheduling core end-to-end: the
-//! bounded schedule explorer drives the shipped `pool::deal` /
-//! `pool::worker_loop` / `WorkDeque` / `CancelToken` code through the
-//! `Virtual` sync provider, asserting the determinism contract on every
+//! bounded schedule explorer drives the shipped `pool::worker_loop`
+//! claim loop and `CancelToken` code through the `Virtual` sync
+//! provider, asserting the determinism contract on every
 //! schedule — and asserting that deliberately re-broken variants are
 //! caught and rendered into SARIF.
 
@@ -27,23 +27,37 @@ fn healthy_pool_is_clean_on_every_bound2_schedule() {
     assert!(report.schedules > 100, "only {} schedules", report.schedules);
 }
 
-/// A lopsided deal (everything in one deque) forces stealing on every
-/// schedule; stealing must not break the contract either.
+/// Three workers contend for the one claim counter: every schedule
+/// interleaves their fetch-adds differently, and each must still hand
+/// every index to exactly one worker.
 #[test]
-fn three_workers_with_forced_stealing_stay_clean() {
+fn three_workers_contending_on_one_claim_counter_stay_clean() {
     let model = PoolModel::healthy(3, 5, 42);
     let report = explore(&Config::exhaustive(1), &model);
     assert!(report.is_clean(), "{}", report.to_erc().render());
+    assert!(
+        report.schedules > 100,
+        "only {} schedules",
+        report.schedules
+    );
 }
 
 /// Acceptance: the vector-clock auditor detects the seeded race in the
-/// deliberately-broken (lockless-deque) pool variant, and the SARIF
-/// rendering carries the `race` rule for `results/lint/`.
+/// deliberately-broken pool variant (the claim counter bumped by a
+/// plain read and write), the double-issued trial shows up in the
+/// gather, and the SARIF rendering carries the `race` rule for
+/// `results/lint/`.
 #[test]
-fn racy_deque_variant_is_flagged_with_sarif_race_diagnostic() {
-    let model = PoolModel::healthy(2, 4, 7).with_fault(Fault::RacyDeque);
+fn racy_claim_variant_is_flagged_with_sarif_race_diagnostic() {
+    let model = PoolModel::healthy(2, 4, 7).with_fault(Fault::RacyClaim);
     let report = explore(&Config::exhaustive(2), &model);
     assert!(report.has_rule(rule::RACE), "{report:?}");
+    assert!(
+        report
+            .findings()
+            .any(|f| f.message.contains("gathered twice")),
+        "{report:?}"
+    );
     let sarif_log = report.to_sarif("exec/pool-model");
     assert!(
         sarif_log.contains("\"ruleId\": \"race\""),
@@ -73,7 +87,7 @@ fn completion_order_fold_is_flagged() {
 }
 
 /// Cancellation contract under the explorer: wherever the schedule
-/// places the cancel — mid-steal, mid-trial, before anything —
+/// places the cancel — between claims, mid-trial, before anything —
 /// every slot holds either the bit-identical value or a clean Cancelled
 /// marker. Never a hole, never a partial merge.
 #[test]
@@ -99,7 +113,7 @@ fn dropped_cancel_result_is_flagged_as_lost_cancel() {
 /// SARIF.
 #[test]
 fn reports_are_reproducible() {
-    let model = PoolModel::healthy(2, 4, 11).with_fault(Fault::RacyDeque);
+    let model = PoolModel::healthy(2, 4, 11).with_fault(Fault::RacyClaim);
     let a = explore(&Config::exhaustive(1), &model);
     let b = explore(&Config::exhaustive(1), &model);
     assert_eq!(a, b);
