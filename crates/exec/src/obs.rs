@@ -512,6 +512,59 @@ mod tests {
         assert!(!json.contains("\"jobs\""), "job count may differ across runs");
     }
 
+    /// Pins the ledger bytes: key order, separators and escaping of the
+    /// deterministic subset, with every counter distinct so a swapped
+    /// pair of keys shows.
+    #[test]
+    fn counters_json_bytes_are_pinned() {
+        let r = CampaignReport {
+            label: "pin \"ledger\"".into(),
+            trials: 2,
+            jobs: 3,
+            root_seed: 42,
+            wall_seconds: 1.5,
+            counters_recorded: true,
+            costs: vec![
+                TrialCost {
+                    trial: 0,
+                    worker: 2,
+                    seconds: 0.75,
+                    outcome: TrialOutcome::Ok,
+                    counters: SolverCounters {
+                        attempts: 1,
+                        solves: 2,
+                        failures: 3,
+                        newton_iterations: 4,
+                        gmin_fallbacks: 5,
+                        symbolic_factorizations: 6,
+                        numeric_refactorizations: 7,
+                        tran_steps: 8,
+                        tran_rejected: 9,
+                        lte_exceeded: 10,
+                        devices_bypassed: 11,
+                        ac_points: 12,
+                        sweep_points: 13,
+                        noise_points: 14,
+                    },
+                },
+                TrialCost {
+                    trial: 1,
+                    worker: 0,
+                    seconds: 0.5,
+                    outcome: TrialOutcome::Panicked,
+                    counters: SolverCounters::default(),
+                },
+            ],
+        };
+        assert_eq!(
+            r.counters_json(),
+            "{\"label\":\"pin \\\"ledger\\\"\",\"trials\":2,\"root_seed\":42,\"counters_recorded\":true,\"ledger\":[\n\
+             {\"trial\":0,\"outcome\":\"ok\",\"attempts\":1,\"solves\":2,\"failures\":3,\"newton_iterations\":4,\"gmin_fallbacks\":5,\"symbolic_factorizations\":6,\"numeric_refactorizations\":7,\"tran_steps\":8,\"tran_rejected\":9,\"lte_exceeded\":10,\"devices_bypassed\":11,\"ac_points\":12,\"sweep_points\":13,\"noise_points\":14},\n\
+             {\"trial\":1,\"outcome\":\"panicked\",\"attempts\":0,\"solves\":0,\"failures\":0,\"newton_iterations\":0,\"gmin_fallbacks\":0,\"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\"ac_points\":0,\"sweep_points\":0,\"noise_points\":0}\n\
+             ]}\n"
+        );
+    }
+
     #[test]
     fn counters_json_is_identical_for_different_schedules() {
         // The same trials timed differently on different workers with a
