@@ -110,7 +110,33 @@ for bad in 0 abc; do
     test "$code" -eq 2
     grep -q "ULP_JOBS=$bad is invalid" <<<"$msg"
 done
+# The figure binaries check it in the shared harness, before the body.
+code=0
+msg=$(ULP_JOBS=0 cargo run --release -q -p ulp-bench --bin fig11_inl_dnl 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+grep -q "ULP_JOBS=0 is invalid" <<<"$msg"
 echo "ULP_JOBS validation (0 and abc exit 2 with the reason) OK"
+
+# Bad command lines and bad input designs are reported, never panics:
+# a non-numeric or zero --dies and an unknown ulp_obs flag are usage
+# errors (exit 2); a missing or malformed .ulp file exits 1 naming the
+# file (and, for a parse error, the line and column).
+for bad in "--dies abc" "--dies 0" "--bogus"; do
+    code=0
+    cargo run --release -q -p ulp-bench --bin ulp_obs -- $bad >/dev/null 2>&1 || code=$?
+    test "$code" -eq 2
+done
+bad_ulp=$(mktemp --suffix .ulp)
+printf '.ends\n' > "$bad_ulp"
+for design in results/ir/does-not-exist.ulp "$bad_ulp"; do
+    code=0
+    msg=$(cargo run --release -q -p ulp-bench --bin ulp_ir -- "$design" 2>&1 >/dev/null) || code=$?
+    test "$code" -eq 1
+    grep -qF "$design: " <<<"$msg"
+done
+grep -q "line 1, col 1" <<<"$msg"
+rm -f "$bad_ulp"
+echo "CLI and input errors (ulp_obs flags exit 2, bad .ulp files exit 1) OK"
 
 # Campaign observability: the obs harness runs a 64-die yield campaign
 # and a solver-backed dcop sweep under the span profiler, validates the

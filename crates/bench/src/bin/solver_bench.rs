@@ -207,10 +207,10 @@ fn adaptive_row(name: &str, nl: &Netlist, tech: &Technology, timed: bool) -> Ada
         adaptive_points: adaptive.len(),
         fixed_dev: max_dev(&fixed, &reference),
         adaptive_dev: max_dev(&adaptive, &reference),
-        accepted: m.tran_steps,
-        rejected: m.tran_rejected,
-        lte_exceeded: m.lte_exceeded,
-        devices_bypassed: m.devices_bypassed,
+        accepted: m.counters.tran_steps,
+        rejected: m.counters.tran_rejected,
+        lte_exceeded: m.counters.lte_exceeded,
+        devices_bypassed: m.counters.devices_bypassed,
     }
 }
 

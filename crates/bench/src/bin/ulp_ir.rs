@@ -25,8 +25,10 @@
 //! The merged per-design report is written to `results/ir/<name>.sarif`
 //! (two runs are byte-identical; ci.sh proves that with `cmp` too).
 //! Exit is nonzero on any error-severity finding — or, under
-//! `--deny-warnings`, any warning. `--check` re-parses every written
-//! SARIF file with the crate's own JSON reader.
+//! `--deny-warnings`, any warning. A design file that cannot be read,
+//! parsed (the error carries line and column), flattened or expanded
+//! into a sweep prints its path and the error and exits 1. `--check`
+//! validates every written SARIF file ([`ulp_spice::sarif::validate`]).
 
 use std::path::{Path, PathBuf};
 use ulp_device::Technology;
@@ -136,6 +138,12 @@ fn run_sweep(design: &Design, name: &str, jobs: usize) -> Result<(usize, u64, St
     Ok((n, digest, report.counters_json()))
 }
 
+/// Reports a bad input design with its path and exits 1.
+fn bad_input(file: &Path, err: impl std::fmt::Display) -> ! {
+    eprintln!("ulp-ir: {}: {err}", file.display());
+    std::process::exit(1);
+}
+
 fn default_examples() -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir("examples")
         .expect("run from the workspace root: examples/ not found")
@@ -200,16 +208,15 @@ fn main() {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "design".to_string());
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| panic!("{}: {e}", file.display()));
-        let design = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| bad_input(file, e));
+        let design = parse(&text).unwrap_or_else(|e| bad_input(file, e));
         let canon = design.to_text();
         let reparsed = parse(&canon)
             .unwrap_or_else(|e| panic!("{name}: canonical text failed to re-parse: {e}"));
         assert_eq!(design, reparsed, "{name}: serializer round-trip mismatch");
         assert_eq!(canon, reparsed.to_text(), "{name}: serializer not a fixed point");
 
-        let nl = flatten(&design).unwrap_or_else(|e| panic!("{name}: flatten: {e}"));
+        let nl = flatten(&design).unwrap_or_else(|e| bad_input(file, format_args!("flatten: {e}")));
         let report = analyze(&nl, &tech, &config);
         let errors = report.count(Severity::Error);
         let warnings = report.count(Severity::Warning);
@@ -217,15 +224,7 @@ fn main() {
         let path = dir.join(format!("{name}.sarif"));
         std::fs::write(&path, &sarif_text).expect("write sarif");
         if check {
-            let doc = sarif::parse_json(&sarif_text).unwrap_or_else(|e| {
-                panic!("{}: emitted SARIF does not parse: {e}", path.display())
-            });
-            assert_eq!(
-                doc.get("version").and_then(sarif::JsonValue::as_str),
-                Some(sarif::VERSION),
-                "{}: bad SARIF version",
-                path.display()
-            );
+            sarif::validate(&sarif_text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         }
 
         let sweep = match run_sweep(&design, &name, jobs) {
@@ -234,7 +233,7 @@ fn main() {
                 format!("sweep {n:>3} pts digest {digest:016x}")
             }
             Err(SweepError::NoSweep) => "no sweep".to_string(),
-            Err(e) => panic!("{name}: sweep: {e}"),
+            Err(e) => bad_input(file, format_args!("sweep: {e}")),
         };
 
         let bad = errors > 0 || (deny_warnings && warnings > 0);

@@ -15,10 +15,10 @@
 //! The counter-only ledger written by `--ledger-out` excludes worker
 //! identity and wall-clock time, so it is byte-identical at any
 //! `ULP_JOBS` — ci.sh compares the `ULP_JOBS=1` and `ULP_JOBS=4`
-//! ledgers with `cmp`. An invalid `ULP_JOBS` exits 2 with the reason
-//! before any campaign runs. Unlike the figure binaries, this harness
-//! installs `ULP_TRACE=spans` itself when no trace mode is set in the
-//! environment, so it is self-contained.
+//! ledgers with `cmp`. A bad flag or an invalid `ULP_JOBS` exits 2 with
+//! the reason before any campaign runs. Unlike the figure binaries,
+//! this harness installs `ULP_TRACE=spans` itself when no trace mode is
+//! set in the environment, so it is self-contained.
 
 use ulp_adc::yield_analysis::{parametric_yield, LinearitySpec};
 use ulp_adc::AdcConfig;
@@ -38,6 +38,12 @@ struct Args {
     check: bool,
 }
 
+/// Prints a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("ulp_obs: {msg}; usage: ulp_obs [--dies N] [--ledger-out PATH] [--check]");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         dies: 64,
@@ -48,14 +54,18 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--dies" => {
-                let v = it.next().expect("--dies needs a value");
-                args.dies = v.parse().expect("--dies must be an integer");
+                let v = it.next().unwrap_or_else(|| usage_error("--dies needs a value"));
+                args.dies = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage_error(&format!("--dies {v:?} is not a positive integer")),
+                };
             }
             "--ledger-out" => {
-                args.ledger_out = Some(it.next().expect("--ledger-out needs a path"));
+                args.ledger_out =
+                    Some(it.next().unwrap_or_else(|| usage_error("--ledger-out needs a path")));
             }
             "--check" => args.check = true,
-            other => panic!("unknown argument: {other} (try --dies N, --ledger-out PATH, --check)"),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     args
@@ -68,19 +78,15 @@ fn main() {
     let mode = TraceMode::from_env().unwrap_or(TraceMode::Spans);
     telemetry::install_global(mode);
     let args = parse_args();
-    let jobs = ulp_exec::jobs_from_env().unwrap_or_else(|err| {
-        eprintln!("ulp_obs: {err}");
-        std::process::exit(2);
-    });
     ulp_bench::harness(
         "ulp_obs",
         "OBS",
         "campaign observability: span profiler, cost ledger, metrics pipeline",
-        || body(&args, jobs),
+        || body(&args),
     );
 }
 
-fn body(args: &Args, jobs: usize) {
+fn body(args: &Args) {
     let tech = Technology::default();
 
     // Campaign 1: the paper's Fig. 11 mismatch/yield ensemble. The die
@@ -105,7 +111,6 @@ fn body(args: &Args, jobs: usize) {
     println!("--- campaign: STSCL buffer dcop sweep, 16 bias points ---");
     let params = SclParams::default();
     let dcops = ulp_exec::Ensemble::new(16)
-        .jobs(jobs)
         .label("obs::dcop")
         .run(|ctx: &mut ulp_exec::TrialCtx| {
             let iss = 10e-12 * 10f64.powf(ctx.index() as f64 * 3.0 / 15.0);

@@ -45,8 +45,9 @@ pub fn paper_check(name: &str, ours: f64, paper: f64, unit: &str) {
     let ratio = ours / paper;
     print!("  {name}: ours = {ours:.3e} {unit}, paper = {paper:.3e} {unit} (ratio {ratio:.2})");
     if let Some(m) = ulp_spice::telemetry::snapshot() {
-        let iters = m.newton_iterations - LAST_ITERS.swap(m.newton_iterations, Ordering::Relaxed);
-        let attempts = m.attempts - LAST_ATTEMPTS.swap(m.attempts, Ordering::Relaxed);
+        let k = m.counters;
+        let iters = k.newton_iterations - LAST_ITERS.swap(k.newton_iterations, Ordering::Relaxed);
+        let attempts = k.attempts - LAST_ATTEMPTS.swap(k.attempts, Ordering::Relaxed);
         let per_point = if attempts == 0 {
             0.0
         } else {
@@ -58,12 +59,18 @@ pub fn paper_check(name: &str, ours: f64, paper: f64, unit: &str) {
 }
 
 /// Runs one bench binary's body inside the standard harness frame:
-/// prints the experiment [`header`], runs `body`, then renders the
-/// [`metrics_footer`] (solver metrics, campaign summary tables, and —
-/// under `ULP_TRACE` — the telemetry/observability exports) keyed by
-/// `id`. This is the single entry point all the figure binaries share,
-/// so footer behaviour can never diverge between harnesses.
+/// checks `ULP_JOBS` (a set-but-invalid value exits 2 with the reason
+/// before anything runs), prints the experiment [`header`], runs
+/// `body`, then renders the [`metrics_footer`] (solver metrics,
+/// campaign summary tables, and — under `ULP_TRACE` — the
+/// telemetry/observability exports) keyed by `id`. This is the single
+/// entry point all the figure binaries share, so footer behaviour can
+/// never diverge between harnesses.
 pub fn harness(id: &str, experiment: &str, title: &str, body: impl FnOnce()) {
+    if let Err(err) = ulp_exec::jobs_from_env() {
+        eprintln!("{id}: {err}");
+        std::process::exit(2);
+    }
     header(experiment, title);
     body();
     metrics_footer(id);
@@ -110,11 +117,7 @@ pub fn metrics_footer(id: &str) {
     let mode = telemetry::global_mode().expect("snapshot implies a mode");
     if mode.keeps_events() {
         let events = telemetry::take_events();
-        let mut jsonl = String::with_capacity(events.len() * 160);
-        for e in &events {
-            jsonl.push_str(&e.to_json());
-            jsonl.push('\n');
-        }
+        let jsonl = telemetry::render_jsonl(&events);
         export("telemetry", &format!("{id}.jsonl"), "telemetry events", events.len(), &jsonl);
     }
     if mode.keeps_spans() {

@@ -24,8 +24,8 @@
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use ulp_spice::sarif::{escape as json_escape, json_num};
-use ulp_spice::telemetry::SolverCounters;
+use ulp_spice::json::{self, json_num};
+use ulp_spice::telemetry::{percentile, SolverCounters};
 
 /// How a trial ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,28 +99,6 @@ pub struct CampaignReport {
     pub costs: Vec<TrialCost>,
 }
 
-/// Nearest-rank percentile of a sample set (`0.0` when empty).
-fn percentile_f64(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Nearest-rank percentile of an integer sample set (`0` when empty).
-fn percentile_usize(samples: &[usize], q: f64) -> usize {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 impl CampaignReport {
     /// Trials that completed.
     pub fn ok_trials(&self) -> usize {
@@ -160,7 +138,7 @@ impl CampaignReport {
     /// Nearest-rank percentile of per-trial wall-clock cost, s.
     pub fn percentile_seconds(&self, q: f64) -> f64 {
         let samples: Vec<f64> = self.costs.iter().map(|c| c.seconds).collect();
-        percentile_f64(&samples, q)
+        percentile(&samples, q)
     }
 
     /// Worst per-trial wall-clock cost, s.
@@ -175,7 +153,7 @@ impl CampaignReport {
             .iter()
             .map(|c| c.counters.newton_iterations)
             .collect();
-        percentile_usize(&samples, q)
+        percentile(&samples, q)
     }
 
     /// The ETA model: predicted wall-clock seconds for `remaining`
@@ -222,47 +200,25 @@ impl CampaignReport {
     pub fn counters_total(&self) -> SolverCounters {
         let mut total = SolverCounters::default();
         for c in &self.costs {
-            total.attempts += c.counters.attempts;
-            total.solves += c.counters.solves;
-            total.failures += c.counters.failures;
-            total.newton_iterations += c.counters.newton_iterations;
-            total.gmin_fallbacks += c.counters.gmin_fallbacks;
-            total.symbolic_factorizations += c.counters.symbolic_factorizations;
-            total.numeric_refactorizations += c.counters.numeric_refactorizations;
-            total.tran_steps += c.counters.tran_steps;
-            total.tran_rejected += c.counters.tran_rejected;
-            total.lte_exceeded += c.counters.lte_exceeded;
-            total.devices_bypassed += c.counters.devices_bypassed;
-            total.ac_points += c.counters.ac_points;
-            total.sweep_points += c.counters.sweep_points;
-            total.noise_points += c.counters.noise_points;
+            total += c.counters;
         }
         total
     }
 
     /// Renders one ledger entry's deterministic fields (no worker, no
-    /// seconds) as a JSON object.
+    /// seconds) as a JSON object: trial, outcome, then every counter in
+    /// [`SolverCounters::table`] order.
     fn counters_entry_json(cost: &TrialCost) -> String {
-        let k = &cost.counters;
-        format!(
-            "{{\"trial\":{},\"outcome\":\"{}\",\"attempts\":{},\"solves\":{},\"failures\":{},\"newton_iterations\":{},\"gmin_fallbacks\":{},\"symbolic_factorizations\":{},\"numeric_refactorizations\":{},\"tran_steps\":{},\"tran_rejected\":{},\"lte_exceeded\":{},\"devices_bypassed\":{},\"ac_points\":{},\"sweep_points\":{},\"noise_points\":{}}}",
+        let mut s = format!(
+            "{{\"trial\":{},\"outcome\":\"{}\"",
             cost.trial,
-            cost.outcome.as_str(),
-            k.attempts,
-            k.solves,
-            k.failures,
-            k.newton_iterations,
-            k.gmin_fallbacks,
-            k.symbolic_factorizations,
-            k.numeric_refactorizations,
-            k.tran_steps,
-            k.tran_rejected,
-            k.lte_exceeded,
-            k.devices_bypassed,
-            k.ac_points,
-            k.sweep_points,
-            k.noise_points
-        )
+            cost.outcome.as_str()
+        );
+        for (key, value) in cost.counters.table() {
+            let _ = write!(s, ",\"{key}\":{value}");
+        }
+        s.push('}');
+        s
     }
 
     /// The **deterministic subset** of the ledger as JSON: label,
@@ -274,7 +230,7 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"root_seed\":{},\"counters_recorded\":{},\"ledger\":[",
-            json_escape(&self.label),
+            json::escape(&self.label),
             self.trials,
             self.root_seed,
             self.counters_recorded
@@ -299,7 +255,7 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"jobs\":{},\"root_seed\":{},\"wall_seconds\":{},\"ok\":{},\"panicked\":{},\"cancelled\":{},\"throughput_per_sec\":{},\"p50_seconds\":{},\"p95_seconds\":{},\"max_seconds\":{},\"p50_newton_iterations\":{},\"p95_newton_iterations\":{},\"counters_recorded\":{}",
-            json_escape(&self.label),
+            json::escape(&self.label),
             self.trials,
             self.jobs,
             self.root_seed,
@@ -611,10 +567,10 @@ mod tests {
 
     #[test]
     fn percentiles_handle_empty_and_single() {
-        assert_eq!(percentile_f64(&[], 50.0), 0.0);
-        assert_eq!(percentile_f64(&[3.0], 95.0), 3.0);
-        assert_eq!(percentile_usize(&[], 50.0), 0);
-        assert_eq!(percentile_usize(&[9], 95.0), 9);
+        assert_eq!(percentile::<f64>(&[], 50.0), 0.0);
+        assert_eq!(percentile(&[3.0], 95.0), 3.0);
+        assert_eq!(percentile::<usize>(&[], 50.0), 0);
+        assert_eq!(percentile(&[9], 95.0), 9);
         let empty = CampaignReport {
             label: "empty".into(),
             trials: 0,

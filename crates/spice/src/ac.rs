@@ -539,7 +539,7 @@ mod tests {
         let mut mc = MetricsCollector::new(TraceMode::Events);
         let ac = AcResult::run_traced(&nl, &tech(), &op, &freqs, &mut mc).unwrap();
         assert_eq!(ac.freqs().len(), 3);
-        assert_eq!(mc.metrics().ac_points, 3);
+        assert_eq!(mc.metrics().counters.ac_points, 3);
         let seen: Vec<f64> = mc
             .events()
             .iter()

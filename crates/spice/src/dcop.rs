@@ -629,7 +629,7 @@ mod tests {
                 (Some(3), false),
             ]
         );
-        assert_eq!(mc.metrics().gmin_fallbacks, 1);
+        assert_eq!(mc.metrics().counters.gmin_fallbacks, 1);
         assert!(mc.metrics().damping_clamps > 0);
     }
 
@@ -646,7 +646,7 @@ mod tests {
                 .unwrap();
         assert!((op.voltage(a) - 1.5).abs() < 1e-12);
         let m = mc.metrics();
-        assert_eq!((m.attempts, m.solves, m.gmin_fallbacks), (1, 1, 0));
+        assert_eq!((m.counters.attempts, m.counters.solves, m.counters.gmin_fallbacks), (1, 1, 0));
         assert!(m.solve_seconds > 0.0);
         assert_eq!(m.max_dimension, nl.unknown_count());
     }

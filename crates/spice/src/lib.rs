@@ -169,7 +169,7 @@
 //! assert!(!lint::run(&nl, &tech, &strict).is_clean());
 //! // Findings export as deterministic SARIF 2.1.0 for review tooling.
 //! let json = sarif::to_sarif(&report, "netlists/doc-example");
-//! assert!(sarif::parse_json(&json).is_ok());
+//! assert_eq!(sarif::validate(&json), Ok(report.diagnostics().len()));
 //! ```
 //!
 //! # Sound certification
@@ -258,8 +258,8 @@
 //! )?;
 //! assert!(op.voltage(a) > 0.4);
 //! let m = mc.metrics();
-//! assert_eq!(m.solves, 1);
-//! assert!(m.newton_iterations > 1); // the diode is nonlinear
+//! assert_eq!(m.counters.solves, 1);
+//! assert!(m.counters.newton_iterations > 1); // the diode is nonlinear
 //! println!("{}", m.summary()); // the stable `-- solver metrics --` footer
 //! # Ok(())
 //! # }
@@ -292,6 +292,7 @@ pub mod dcop;
 pub mod diag;
 pub mod erc;
 pub mod error;
+pub mod json;
 pub mod lint;
 pub mod mna;
 pub mod netlist;

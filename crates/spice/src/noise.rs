@@ -364,7 +364,7 @@ mod tests {
         let rep =
             noise_analysis_traced(&nl, &tech(), &op, a, &[1.0, 10.0, 100.0], &mut mc).unwrap();
         assert_eq!(rep.freqs.len(), 3);
-        assert_eq!(mc.metrics().noise_points, 3);
+        assert_eq!(mc.metrics().counters.noise_points, 3);
         for e in mc.events() {
             if let Event::NoisePoint { sources, .. } = &e.event {
                 assert_eq!(*sources, 1); // only R1 makes noise

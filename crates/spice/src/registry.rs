@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::sarif::json_num;
+use crate::json::json_num;
 
 /// Default histogram bucket upper bounds for wall-clock seconds:
 /// exponential 1 µs … 100 s (an implicit `+Inf` overflow bucket is

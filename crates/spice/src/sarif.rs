@@ -12,18 +12,15 @@
 //!
 //! The emitter is hand-rendered (no serde in the workspace) and fully
 //! deterministic: same report in, byte-identical JSON out, so exports
-//! can be golden-tested and diffed in CI. A minimal recursive-descent
-//! JSON reader ([`parse_json`]) rides along so the bench binary and the
-//! tests can validate emitted files without external tooling, and the
-//! two writer primitives ([`escape`], [`json_num`]) are shared by every
-//! hand-rendered JSON export in the workspace (telemetry JSONL, metrics
-//! registry, campaign ledgers).
+//! can be golden-tested and diffed in CI. [`validate`] reads an export
+//! back with the crate's JSON reader ([`crate::json`]) so the bench
+//! binaries can check emitted files without external tooling.
 //!
 //! [sarif]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html
 
 use crate::diag::{Diagnostic, ErcReport, Severity};
+use crate::json::{escape, parse_json, JsonValue};
 use crate::lint::{self, LintLevel};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The SARIF schema this module emits.
@@ -40,38 +37,6 @@ fn level_of(severity: Severity) -> &'static str {
         Severity::Error => "error",
         Severity::Warning => "warning",
         Severity::Info => "note",
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal (RFC 8259:
-/// quote, backslash and control characters; everything else passes
-/// through as UTF-8). [`parse_json`] reads the result back to the
-/// original string.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -186,242 +151,32 @@ pub fn to_sarif(report: &ErcReport, artifact: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader, for validating emitted SARIF.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-///
-/// Objects use a [`BTreeMap`] so re-serialisation and comparison are
-/// order-independent; SARIF key order is not semantically meaningful.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (kept as f64; SARIF uses none we would truncate).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object.
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Member lookup on an object, `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Index into an array, `None` otherwise.
-    pub fn idx(&self, i: usize) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Arr(v) => v.get(i),
-            _ => None,
-        }
-    }
-
-    /// The string payload, `None` for non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array payload, `None` for non-arrays.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, `None` for non-numbers.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (rejecting trailing garbage).
+/// Validates a SARIF log with the crate's JSON reader: it must parse,
+/// carry `"version": "2.1.0"` and hold a `runs` array whose every run
+/// has a `results` array. Returns the number of results over all runs.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first syntax error, with its byte
-/// offset.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// A description of the first violation.
+pub fn validate(text: &str) -> Result<usize, String> {
+    let doc = parse_json(text).map_err(|e| format!("SARIF does not parse: {e}"))?;
+    let version = doc.get("version").and_then(JsonValue::as_str);
+    if version != Some(VERSION) {
+        return Err(format!("SARIF version {version:?}, expected {VERSION:?}"));
     }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+    let runs = doc
+        .get("runs")
+        .and_then(JsonValue::as_arr)
+        .ok_or("no runs array at top level")?;
+    let mut results = 0;
+    for (k, run) in runs.iter().enumerate() {
+        results += run
+            .get("results")
+            .and_then(JsonValue::as_arr)
+            .ok_or_else(|| format!("runs[{k}]: no results array"))?
+            .len();
     }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => Err(format!("unexpected end or byte at {}", *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not emitted by this crate;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(map));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -564,6 +319,20 @@ mod tests {
     }
 
     #[test]
+    fn validate_counts_results_and_rejects_bad_logs() {
+        let sarif = to_sarif(&sample_report(), "netlists/unit-test");
+        assert_eq!(validate(&sarif), Ok(3));
+        assert_eq!(validate(&to_sarif(&ErcReport::new(), "netlists/clean")), Ok(0));
+        let truncated = &sarif[..sarif.len() / 2];
+        assert!(validate(truncated).unwrap_err().contains("does not parse"));
+        let wrong = sarif.replacen("\"version\": \"2.1.0\"", "\"version\": \"2.0.0\"", 1);
+        assert_ne!(wrong, sarif);
+        assert!(validate(&wrong).unwrap_err().contains("version"));
+        assert!(validate("{\"version\": \"2.1.0\"}").unwrap_err().contains("runs"));
+        assert!(validate("{\"version\": \"2.1.0\", \"runs\": [{}]}").is_err());
+    }
+
+    #[test]
     fn empty_report_is_valid_sarif_with_no_results() {
         let sarif = to_sarif(&ErcReport::new(), "netlists/clean");
         let doc = parse_json(&sarif).expect("must parse");
@@ -574,21 +343,5 @@ mod tests {
             .and_then(JsonValue::as_arr)
             .expect("results array present");
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn json_reader_handles_core_forms() {
-        let v = parse_json(
-            r#"{"a": [1, -2.5e3, true, false, null], "b": {"nested": "xA\n"}}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("a").and_then(|a| a.idx(1)), Some(&JsonValue::Num(-2.5e3)));
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("nested")).and_then(JsonValue::as_str),
-            Some("xA\n")
-        );
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
     }
 }

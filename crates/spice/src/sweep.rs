@@ -267,7 +267,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.len(), 4);
-        assert_eq!(mc.metrics().sweep_points, 4);
+        assert_eq!(mc.metrics().counters.sweep_points, 4);
         let points: Vec<(usize, f64)> = mc
             .events()
             .iter()

@@ -17,7 +17,7 @@
 //!   gain telemetry without code changes.
 //!
 //! Parallel ensemble campaigns (`ulp-exec`) interpose a third layer: a
-//! thread-local *worker* collector ([`worker_capture`]) absorbs the
+//! thread-local *worker* collector ([`worker_capture_on`]) absorbs the
 //! default-API events of one worker thread without touching the global
 //! `Mutex`, and [`fold_worker`] merges ([`SimMetrics::merge`]) each
 //! worker's aggregate into the global collector once, at campaign end,
@@ -29,13 +29,15 @@
 //!
 //! # Aggregates
 //!
-//! [`SimMetrics`] accumulates counters and an exact per-attempt
-//! iteration sample set, so [`SimMetrics::p50_iterations`] /
-//! [`SimMetrics::p95_iterations`] are true nearest-rank percentiles,
-//! not estimates. [`SimMetrics::summary`] renders the stable
-//! `-- solver metrics --` footer used by the bench binaries;
-//! [`MetricsCollector::render_jsonl`] renders the event log one JSON
-//! object per line.
+//! [`SimMetrics`] accumulates the deterministic [`SolverCounters`] (the
+//! one declaration of the fourteen counters a campaign's cost ledger
+//! records; [`SolverCounters::table`] lists them once, in ledger key
+//! order), a few wall-clock and pivoting extras, and an exact
+//! per-attempt iteration sample set, so [`SimMetrics::p50_iterations`] /
+//! [`SimMetrics::p95_iterations`] are true nearest-rank percentiles
+//! ([`percentile`]), not estimates. [`SimMetrics::summary`] renders the
+//! stable `-- solver metrics --` footer used by the bench binaries;
+//! [`render_jsonl`] renders an event log one JSON object per line.
 //!
 //! # Example
 //!
@@ -59,8 +61,8 @@
 //! )?;
 //! assert!(op.voltage(a) > 0.4);
 //! let m = mc.metrics();
-//! assert_eq!(m.solves, 1);
-//! assert!(m.newton_iterations > 1); // the diode is nonlinear
+//! assert_eq!(m.counters.solves, 1);
+//! assert!(m.counters.newton_iterations > 1); // the diode is nonlinear
 //! assert!(!mc.events().is_empty());
 //! # Ok(())
 //! # }
@@ -70,8 +72,8 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::{self, json_num, JsonValue};
 use crate::registry::Registry;
-use crate::sarif::{escape as json_escape, json_num};
 
 /// How much the global collector keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,7 +369,7 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"name\":\"{}\",\"seconds\":{}",
-                    json_escape(name),
+                    json::escape(name),
                     json_num(*seconds)
                 );
             }
@@ -414,7 +416,7 @@ impl TaggedEvent {
         }
         s.pop(); // strip the closing brace, re-append after the tags
         if let Some(c) = &self.campaign {
-            let _ = write!(s, ",\"campaign\":\"{}\"", json_escape(c));
+            let _ = write!(s, ",\"campaign\":\"{}\"", json::escape(c));
         }
         if let Some(t) = self.trial {
             let _ = write!(s, ",\"trial\":{t}");
@@ -456,7 +458,7 @@ impl SpanEvent {
         let _ = write!(
             s,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-            json_escape(&self.name),
+            json::escape(&self.name),
             self.cat,
             json_num(self.start_us),
             json_num(self.dur_us),
@@ -468,6 +470,17 @@ impl SpanEvent {
         s.push('}');
         s
     }
+}
+
+/// Renders an event log as JSONL: one [`TaggedEvent::to_json`] object
+/// per line, trailing newline when non-empty.
+pub fn render_jsonl(events: &[TaggedEvent]) -> String {
+    let mut s = String::with_capacity(events.len() * 160);
+    for e in events {
+        s.push_str(&e.to_json());
+        s.push('\n');
+    }
+    s
 }
 
 /// The process-wide monotonic epoch all span timestamps are measured
@@ -513,8 +526,7 @@ pub fn render_chrome_trace(spans: &[SpanEvent]) -> String {
 ///
 /// A description of the first structural violation.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    use crate::sarif::JsonValue;
-    let doc = crate::sarif::parse_json(text)?;
+    let doc = json::parse_json(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(JsonValue::as_arr)
@@ -614,30 +626,49 @@ pub struct SolverCounters {
 }
 
 impl SolverCounters {
+    /// The one enumeration of the counters: `(ledger key, slot)` in
+    /// declaration order. Every whole-set operation (delta, sum, the
+    /// ledger's keys) walks this table, so a counter added to the
+    /// struct and here reaches all of them.
+    fn slots(&mut self) -> [(&'static str, &mut usize); 14] {
+        [
+            ("attempts", &mut self.attempts),
+            ("solves", &mut self.solves),
+            ("failures", &mut self.failures),
+            ("newton_iterations", &mut self.newton_iterations),
+            ("gmin_fallbacks", &mut self.gmin_fallbacks),
+            ("symbolic_factorizations", &mut self.symbolic_factorizations),
+            ("numeric_refactorizations", &mut self.numeric_refactorizations),
+            ("tran_steps", &mut self.tran_steps),
+            ("tran_rejected", &mut self.tran_rejected),
+            ("lte_exceeded", &mut self.lte_exceeded),
+            ("devices_bypassed", &mut self.devices_bypassed),
+            ("ac_points", &mut self.ac_points),
+            ("sweep_points", &mut self.sweep_points),
+            ("noise_points", &mut self.noise_points),
+        ]
+    }
+
+    /// Every counter as `(ledger key, value)`, in declaration order —
+    /// the key order of the campaign cost ledger.
+    pub fn table(mut self) -> [(&'static str, usize); 14] {
+        self.slots().map(|(key, v)| (key, *v))
+    }
+
     /// The counters accrued since `earlier` (a snapshot taken on the
     /// same collector before the work being measured).
-    pub fn delta_since(self, earlier: SolverCounters) -> SolverCounters {
-        SolverCounters {
-            attempts: self.attempts.saturating_sub(earlier.attempts),
-            solves: self.solves.saturating_sub(earlier.solves),
-            failures: self.failures.saturating_sub(earlier.failures),
-            newton_iterations: self
-                .newton_iterations
-                .saturating_sub(earlier.newton_iterations),
-            gmin_fallbacks: self.gmin_fallbacks.saturating_sub(earlier.gmin_fallbacks),
-            symbolic_factorizations: self
-                .symbolic_factorizations
-                .saturating_sub(earlier.symbolic_factorizations),
-            numeric_refactorizations: self
-                .numeric_refactorizations
-                .saturating_sub(earlier.numeric_refactorizations),
-            tran_steps: self.tran_steps.saturating_sub(earlier.tran_steps),
-            tran_rejected: self.tran_rejected.saturating_sub(earlier.tran_rejected),
-            lte_exceeded: self.lte_exceeded.saturating_sub(earlier.lte_exceeded),
-            devices_bypassed: self.devices_bypassed.saturating_sub(earlier.devices_bypassed),
-            ac_points: self.ac_points.saturating_sub(earlier.ac_points),
-            sweep_points: self.sweep_points.saturating_sub(earlier.sweep_points),
-            noise_points: self.noise_points.saturating_sub(earlier.noise_points),
+    pub fn delta_since(mut self, earlier: SolverCounters) -> SolverCounters {
+        for ((_, v), (_, e)) in self.slots().into_iter().zip(earlier.table()) {
+            *v = v.saturating_sub(e);
+        }
+        self
+    }
+}
+
+impl std::ops::AddAssign for SolverCounters {
+    fn add_assign(&mut self, other: SolverCounters) {
+        for ((_, v), (_, o)) in self.slots().into_iter().zip(other.table()) {
+            *v += o;
         }
     }
 }
@@ -673,45 +704,17 @@ impl Tracer for NullTracer {
 /// Aggregate solver counters and exact iteration statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimMetrics {
-    /// Newton attempts recorded (direct solves and ladder rungs).
-    pub attempts: usize,
-    /// Attempts that converged.
-    pub solves: usize,
-    /// Attempts that did not converge.
-    pub failures: usize,
-    /// Total Newton iterations across all attempts.
-    pub newton_iterations: usize,
-    /// Solves that fell back to the gmin ladder (first-rung events).
-    pub gmin_fallbacks: usize,
+    /// The deterministic counters (what a campaign's per-trial cost
+    /// ledger diffs around each trial).
+    pub counters: SolverCounters,
     /// Iterations on which the voltage-damping clamp engaged.
     pub damping_clamps: usize,
     /// LU factorisations attempted (one per Newton iteration).
     pub lu_factorisations: usize,
     /// Rows displaced by partial pivoting, summed over factorisations.
     pub lu_swaps: usize,
-    /// Full symbolic (pivot-choosing) factorizations; the dense fallback
-    /// performs one per linear solve, the sparse path one per pattern.
-    pub symbolic_factorizations: usize,
-    /// Numeric refactorizations that reused a cached symbolic pattern.
-    pub numeric_refactorizations: usize,
     /// Largest MNA system dimension factored.
     pub max_dimension: usize,
-    /// Transient steps accepted.
-    pub tran_steps: usize,
-    /// Adaptive transient steps rejected (LTE overruns plus Newton
-    /// failures; always 0 on the fixed-step path).
-    pub tran_rejected: usize,
-    /// Rejections caused by the LTE estimate exceeding tolerance (a
-    /// subset of `tran_rejected`).
-    pub lte_exceeded: usize,
-    /// Nonlinear device evaluations bypassed via the latency cache.
-    pub devices_bypassed: usize,
-    /// AC frequency points solved.
-    pub ac_points: usize,
-    /// DC sweep points solved.
-    pub sweep_points: usize,
-    /// Noise frequency points solved.
-    pub noise_points: usize,
     /// Wall-clock time summed over Newton attempts, s.
     pub solve_seconds: f64,
     /// Per-attempt iteration counts, recording order (for percentiles).
@@ -721,13 +724,14 @@ pub struct SimMetrics {
 }
 
 /// Nearest-rank percentile of an unsorted sample set: the smallest value
-/// with at least `q`% of samples at or below it. Returns 0 when empty.
-fn percentile(samples: &[usize], q: f64) -> usize {
+/// with at least `q`% of samples at or below it. Returns `T::default()`
+/// (zero) when empty. Samples must be totally ordered (no NaN).
+pub fn percentile<T: Copy + Default + PartialOrd>(samples: &[T], q: f64) -> T {
     if samples.is_empty() {
-        return 0;
+        return T::default();
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -748,35 +752,36 @@ impl SimMetrics {
                 seconds,
                 ..
             } => {
-                self.attempts += 1;
+                let k = &mut self.counters;
+                k.attempts += 1;
                 if *converged {
-                    self.solves += 1;
+                    k.solves += 1;
                 } else {
-                    self.failures += 1;
+                    k.failures += 1;
                 }
-                self.newton_iterations += iterations;
-                self.iter_samples.push(*iterations);
+                k.newton_iterations += iterations;
                 if *rung == Some(0) {
-                    self.gmin_fallbacks += 1;
+                    k.gmin_fallbacks += 1;
                 }
+                k.symbolic_factorizations += lu_symbolic;
+                k.numeric_refactorizations += lu_refactor;
+                self.iter_samples.push(*iterations);
                 self.damping_clamps += clamps;
                 self.lu_factorisations += iterations;
                 self.lu_swaps += lu_swaps;
-                self.symbolic_factorizations += lu_symbolic;
-                self.numeric_refactorizations += lu_refactor;
                 self.max_dimension = self.max_dimension.max(*lu_dim);
                 self.solve_seconds += seconds;
             }
             Event::TranStep {
                 devices_bypassed, ..
             } => {
-                self.tran_steps += 1;
-                self.devices_bypassed += devices_bypassed;
+                self.counters.tran_steps += 1;
+                self.counters.devices_bypassed += devices_bypassed;
             }
             Event::TranReject { newton_failed, .. } => {
-                self.tran_rejected += 1;
+                self.counters.tran_rejected += 1;
                 if !newton_failed {
-                    self.lte_exceeded += 1;
+                    self.counters.lte_exceeded += 1;
                 }
             }
             Event::AcPoint {
@@ -784,12 +789,12 @@ impl SimMetrics {
                 lu_refactor,
                 ..
             } => {
-                self.ac_points += 1;
-                self.symbolic_factorizations += lu_symbolic;
-                self.numeric_refactorizations += lu_refactor;
+                self.counters.ac_points += 1;
+                self.counters.symbolic_factorizations += lu_symbolic;
+                self.counters.numeric_refactorizations += lu_refactor;
             }
-            Event::SweepPoint { .. } => self.sweep_points += 1,
-            Event::NoisePoint { .. } => self.noise_points += 1,
+            Event::SweepPoint { .. } => self.counters.sweep_points += 1,
+            Event::NoisePoint { .. } => self.counters.noise_points += 1,
             Event::Phase { name, seconds } => self.phases.push((name.clone(), *seconds)),
         }
     }
@@ -809,53 +814,23 @@ impl SimMetrics {
         self.iter_samples.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean Newton iterations per attempt (0 with no attempts).
-    pub fn iterations_per_solve(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.newton_iterations as f64 / self.attempts as f64
-        }
-    }
-
     /// Fraction of factorizations that reused a cached symbolic pattern
     /// instead of re-pivoting from scratch (0 when nothing was factored).
     /// The dense fallback path never reuses, so this is also a quick
     /// check of which backend a campaign actually ran on.
     pub fn pattern_reuse_rate(&self) -> f64 {
-        let total = self.symbolic_factorizations + self.numeric_refactorizations;
+        let k = &self.counters;
+        let total = k.symbolic_factorizations + k.numeric_refactorizations;
         if total == 0 {
             0.0
         } else {
-            self.numeric_refactorizations as f64 / total as f64
+            k.numeric_refactorizations as f64 / total as f64
         }
     }
 
     /// Recorded phase durations, recording order.
     pub fn phases(&self) -> &[(String, f64)] {
         &self.phases
-    }
-
-    /// The deterministic counter subset as a cheap [`SolverCounters`]
-    /// snapshot — what the per-trial cost ledger diffs around each
-    /// trial.
-    pub fn counters(&self) -> SolverCounters {
-        SolverCounters {
-            attempts: self.attempts,
-            solves: self.solves,
-            failures: self.failures,
-            newton_iterations: self.newton_iterations,
-            gmin_fallbacks: self.gmin_fallbacks,
-            symbolic_factorizations: self.symbolic_factorizations,
-            numeric_refactorizations: self.numeric_refactorizations,
-            tran_steps: self.tran_steps,
-            tran_rejected: self.tran_rejected,
-            lte_exceeded: self.lte_exceeded,
-            devices_bypassed: self.devices_bypassed,
-            ac_points: self.ac_points,
-            sweep_points: self.sweep_points,
-            noise_points: self.noise_points,
-        }
     }
 
     /// Folds another aggregate into this one: counters add, the maximum
@@ -865,24 +840,11 @@ impl SimMetrics {
     /// parallel campaign's per-worker collectors combine at campaign
     /// end without the workers ever sharing a lock mid-run.
     pub fn merge(&mut self, other: &SimMetrics) {
-        self.attempts += other.attempts;
-        self.solves += other.solves;
-        self.failures += other.failures;
-        self.newton_iterations += other.newton_iterations;
-        self.gmin_fallbacks += other.gmin_fallbacks;
+        self.counters += other.counters;
         self.damping_clamps += other.damping_clamps;
         self.lu_factorisations += other.lu_factorisations;
         self.lu_swaps += other.lu_swaps;
-        self.symbolic_factorizations += other.symbolic_factorizations;
-        self.numeric_refactorizations += other.numeric_refactorizations;
         self.max_dimension = self.max_dimension.max(other.max_dimension);
-        self.tran_steps += other.tran_steps;
-        self.tran_rejected += other.tran_rejected;
-        self.lte_exceeded += other.lte_exceeded;
-        self.devices_bypassed += other.devices_bypassed;
-        self.ac_points += other.ac_points;
-        self.sweep_points += other.sweep_points;
-        self.noise_points += other.noise_points;
         self.solve_seconds += other.solve_seconds;
         self.iter_samples.extend_from_slice(&other.iter_samples);
         self.phases.extend(other.phases.iter().cloned());
@@ -890,22 +852,23 @@ impl SimMetrics {
 
     /// The stable multi-line `-- solver metrics --` footer.
     pub fn summary(&self) -> String {
+        let k = &self.counters;
         let mut s = String::new();
         let _ = writeln!(s, "-- solver metrics --");
         let _ = writeln!(
             s,
             "total solves      : {} ({} attempts, {} failed)",
-            self.solves, self.attempts, self.failures
+            k.solves, k.attempts, k.failures
         );
         let _ = writeln!(
             s,
             "newton iterations : {} total, p50 {}, p95 {}, max {}",
-            self.newton_iterations,
+            k.newton_iterations,
             self.p50_iterations(),
             self.p95_iterations(),
             self.max_iterations()
         );
-        let _ = writeln!(s, "gmin fallbacks    : {}", self.gmin_fallbacks);
+        let _ = writeln!(s, "gmin fallbacks    : {}", k.gmin_fallbacks);
         let _ = writeln!(s, "damping clamps    : {}", self.damping_clamps);
         let _ = writeln!(
             s,
@@ -915,19 +878,19 @@ impl SimMetrics {
         let _ = writeln!(
             s,
             "lu pattern reuse  : {} symbolic, {} refactor ({:.1}% reuse)",
-            self.symbolic_factorizations,
-            self.numeric_refactorizations,
+            k.symbolic_factorizations,
+            k.numeric_refactorizations,
             100.0 * self.pattern_reuse_rate()
         );
         let _ = writeln!(
             s,
             "analysis points   : tran {}, ac {}, sweep {}, noise {}",
-            self.tran_steps, self.ac_points, self.sweep_points, self.noise_points
+            k.tran_steps, k.ac_points, k.sweep_points, k.noise_points
         );
         let _ = writeln!(
             s,
             "adaptive stepping : {} rejected ({} lte), {} device bypasses",
-            self.tran_rejected, self.lte_exceeded, self.devices_bypassed
+            k.tran_rejected, k.lte_exceeded, k.devices_bypassed
         );
         let _ = write!(s, "solve wall time   : {:.3e} s", self.solve_seconds);
         for (name, secs) in &self.phases {
@@ -1025,15 +988,9 @@ impl MetricsCollector {
         }
     }
 
-    /// Renders the retained events as JSONL (one object per line,
-    /// trailing newline when non-empty).
+    /// Renders the retained events as JSONL ([`render_jsonl`]).
     pub fn render_jsonl(&self) -> String {
-        let mut s = String::new();
-        for e in &self.events {
-            s.push_str(&e.to_json());
-            s.push('\n');
-        }
-        s
+        render_jsonl(&self.events)
     }
 
     /// Clears aggregates, events, spans and the registry shard.
@@ -1179,7 +1136,7 @@ pub fn global_mode() -> Option<TraceMode> {
 }
 
 thread_local! {
-    /// Per-worker collector: when installed (inside [`worker_capture`]),
+    /// Per-worker collector: when installed (inside [`worker_capture_on`]),
     /// this thread's default-API events land here instead of in the
     /// global `Mutex`, so parallel ensemble workers never contend on the
     /// global lock mid-campaign.
@@ -1201,19 +1158,14 @@ impl Drop for WorkerSlotGuard {
 /// Runs `f` with a fresh thread-local collector (mirroring the global
 /// collector's mode) capturing every default-API event this thread
 /// records, and returns it alongside `f`'s result. When tracing is off
-/// this is a plain call returning `None` — zero cost.
+/// this is a plain call returning `None` — zero cost. The collector
+/// shards for worker `worker`, stamping its index on recorded spans so
+/// each pool worker renders as its own Chrome-trace timeline.
 ///
 /// The caller is responsible for folding the returned collector back
 /// into the global one via [`fold_worker`]; doing so *after* joining
 /// all workers, in a deterministic worker order, keeps the global event
 /// log's ordering independent of thread scheduling.
-pub fn worker_capture<R>(f: impl FnOnce() -> R) -> (R, Option<MetricsCollector>) {
-    worker_capture_on(0, f)
-}
-
-/// [`worker_capture`] with an explicit worker index: the captured
-/// collector shards for worker `worker`, stamping its index on recorded
-/// spans so each pool worker renders as its own Chrome-trace timeline.
 pub fn worker_capture_on<R>(
     worker: usize,
     f: impl FnOnce() -> R,
@@ -1229,7 +1181,7 @@ pub fn worker_capture_on<R>(
     (r, mc)
 }
 
-/// Folds a worker collector (from [`worker_capture`]) into the global
+/// Folds a worker collector (from [`worker_capture_on`]) into the global
 /// collector. A no-op when tracing is off.
 pub fn fold_worker(mc: &MetricsCollector) {
     if let Some(g) = global_cell() {
@@ -1256,7 +1208,7 @@ fn with_collector<R>(f: impl FnOnce(&mut MetricsCollector) -> R) -> Option<R> {
 /// two of these around each trial; reading only the thread-local shard
 /// keeps it lock-free.
 pub fn local_counters() -> Option<SolverCounters> {
-    WORKER.with(|w| w.borrow().as_ref().map(|mc| mc.metrics.counters()))
+    WORKER.with(|w| w.borrow().as_ref().map(|mc| mc.metrics.counters))
 }
 
 /// Adds `delta` to the named registry counter on the active collector.
@@ -1298,7 +1250,7 @@ pub fn span<R>(cat: &'static str, name: &str, trial: Option<usize>, f: impl FnOn
 }
 
 /// Runs `f` with the active tracer: this thread's worker collector when
-/// one is installed ([`worker_capture`]), else the global collector
+/// one is installed ([`worker_capture_on`]), else the global collector
 /// when one is active, else the [`NullTracer`]. This is what every
 /// default analysis entry point routes through.
 ///
@@ -1415,26 +1367,28 @@ mod tests {
             mc.record(&attempt(i, i != 10, rung));
         }
         let m = mc.metrics();
-        assert_eq!(m.attempts, 20);
-        assert_eq!(m.solves, 19);
-        assert_eq!(m.failures, 1);
-        assert_eq!(m.newton_iterations, (1..=20).sum::<usize>());
-        assert_eq!(m.gmin_fallbacks, 1);
+        assert_eq!(m.counters.attempts, 20);
+        assert_eq!(m.counters.solves, 19);
+        assert_eq!(m.counters.failures, 1);
+        assert_eq!(m.counters.newton_iterations, (1..=20).sum::<usize>());
+        assert_eq!(m.counters.gmin_fallbacks, 1);
         assert_eq!(m.damping_clamps, 20);
         assert_eq!(m.lu_factorisations, (1..=20).sum::<usize>());
         assert_eq!(m.lu_swaps, 40);
         // One symbolic per attempt, iterations−1 pattern reuses each.
-        assert_eq!(m.symbolic_factorizations, 20);
-        assert_eq!(m.numeric_refactorizations, (1..=20).sum::<usize>() - 20);
-        let rate = m.numeric_refactorizations as f64
-            / (m.symbolic_factorizations + m.numeric_refactorizations) as f64;
+        assert_eq!(m.counters.symbolic_factorizations, 20);
+        assert_eq!(m.counters.numeric_refactorizations, (1..=20).sum::<usize>() - 20);
+        let rate = m.counters.numeric_refactorizations as f64
+            / (m.counters.symbolic_factorizations + m.counters.numeric_refactorizations) as f64;
         assert!((m.pattern_reuse_rate() - rate).abs() < 1e-12);
         assert_eq!(m.max_dimension, 7);
         // Nearest-rank percentiles on 1..=20: p50 = 10, p95 = 19.
         assert_eq!(m.p50_iterations(), 10);
         assert_eq!(m.p95_iterations(), 19);
         assert_eq!(m.max_iterations(), 20);
-        assert!((m.iterations_per_solve() - 10.5).abs() < 1e-12);
+        assert!(
+            (m.counters.newton_iterations as f64 / m.counters.attempts as f64 - 10.5).abs() < 1e-12
+        );
         assert!((m.solve_seconds - 20.0 * 0.5e-3).abs() < 1e-12);
         assert_eq!(mc.events().len(), 20);
     }
@@ -1491,13 +1445,18 @@ mod tests {
         });
         let m = mc.metrics();
         assert_eq!(
-            (m.tran_steps, m.ac_points, m.sweep_points, m.noise_points),
+            (
+                m.counters.tran_steps,
+                m.counters.ac_points,
+                m.counters.sweep_points,
+                m.counters.noise_points
+            ),
             (1, 1, 1, 1)
         );
         // Rejections split into LTE overruns vs Newton failures; bypass
         // counts accumulate from accepted steps only.
         assert_eq!(
-            (m.tran_rejected, m.lte_exceeded, m.devices_bypassed),
+            (m.counters.tran_rejected, m.counters.lte_exceeded, m.counters.devices_bypassed),
             (2, 1, 4)
         );
         // The registry shard mirrors the same counters.
@@ -1526,7 +1485,7 @@ mod tests {
 
     #[test]
     fn phase_names_round_trip_through_jsonl() {
-        use crate::sarif::{parse_json, JsonValue};
+        use crate::json::parse_json;
         let name = "tab\there \"quoted\" back\\slash\nnext\u{1}line";
         let line = Event::Phase {
             name: name.to_string(),
@@ -1614,7 +1573,7 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank_edge_cases() {
-        assert_eq!(percentile(&[], 95.0), 0);
+        assert_eq!(percentile::<usize>(&[], 95.0), 0);
         assert_eq!(percentile(&[7], 50.0), 7);
         assert_eq!(percentile(&[7], 95.0), 7);
         assert_eq!(percentile(&[1, 2, 3, 4], 50.0), 2);
@@ -1672,16 +1631,16 @@ mod tests {
             merged.merge(w);
         }
         let (m, s) = (merged.metrics(), single.metrics());
-        assert_eq!(m.attempts, s.attempts);
-        assert_eq!(m.solves, s.solves);
-        assert_eq!(m.failures, s.failures);
-        assert_eq!(m.newton_iterations, s.newton_iterations);
-        assert_eq!(m.gmin_fallbacks, s.gmin_fallbacks);
+        assert_eq!(m.counters.attempts, s.counters.attempts);
+        assert_eq!(m.counters.solves, s.counters.solves);
+        assert_eq!(m.counters.failures, s.counters.failures);
+        assert_eq!(m.counters.newton_iterations, s.counters.newton_iterations);
+        assert_eq!(m.counters.gmin_fallbacks, s.counters.gmin_fallbacks);
         assert_eq!(m.damping_clamps, s.damping_clamps);
         assert_eq!(m.lu_factorisations, s.lu_factorisations);
         assert_eq!(m.lu_swaps, s.lu_swaps);
         assert_eq!(m.max_dimension, s.max_dimension);
-        assert_eq!(m.tran_steps, s.tran_steps);
+        assert_eq!(m.counters.tran_steps, s.counters.tran_steps);
         assert_eq!(m.p50_iterations(), s.p50_iterations());
         assert_eq!(m.p95_iterations(), s.p95_iterations());
         assert_eq!(m.max_iterations(), s.max_iterations());
@@ -1702,18 +1661,18 @@ mod tests {
         worker.record(&attempt(3, true, None));
         let mut global = MetricsCollector::new(TraceMode::Summary);
         global.merge(&worker);
-        assert_eq!(global.metrics().attempts, 1);
+        assert_eq!(global.metrics().counters.attempts, 1);
         assert!(global.events().is_empty());
     }
 
     #[test]
     fn worker_capture_without_global_is_transparent() {
         // In this test process the global collector may or may not have
-        // been decided yet; worker_capture must never install a local
+        // been decided yet; worker_capture_on must never install a local
         // collector when tracing is off, and must always run the
         // closure exactly once.
         let mut ran = 0;
-        let (r, mc) = worker_capture(|| {
+        let (r, mc) = worker_capture_on(0, || {
             ran += 1;
             7
         });
@@ -1733,9 +1692,9 @@ mod tests {
         let taken = mc.take_events();
         assert_eq!(taken.len(), 1);
         assert!(mc.events().is_empty());
-        assert_eq!(mc.metrics().attempts, 1); // metrics survive the take
+        assert_eq!(mc.metrics().counters.attempts, 1); // metrics survive the take
         mc.reset();
-        assert_eq!(mc.metrics().attempts, 0);
+        assert_eq!(mc.metrics().counters.attempts, 0);
     }
 
     #[test]
@@ -1857,15 +1816,35 @@ mod tests {
     fn solver_counters_snapshot_and_delta() {
         let mut mc = MetricsCollector::new(TraceMode::Summary);
         mc.record(&attempt(4, true, None));
-        let before = mc.metrics().counters();
+        let before = mc.metrics().counters;
         mc.record(&attempt(6, true, Some(0)));
-        let after = mc.metrics().counters();
+        let after = mc.metrics().counters;
         let d = after.delta_since(before);
         assert_eq!(d.attempts, 1);
         assert_eq!(d.newton_iterations, 6);
         assert_eq!(d.gmin_fallbacks, 1);
         assert_eq!(d.solves, 1);
         assert_eq!(SolverCounters::default().delta_since(after), SolverCounters::default());
+    }
+
+    #[test]
+    fn counter_table_names_each_field_once() {
+        let mut k = SolverCounters::default();
+        for (i, (_, v)) in k.slots().into_iter().enumerate() {
+            *v = i + 1;
+        }
+        let table = k.table();
+        let values: Vec<usize> = table.iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, (1..=14).collect::<Vec<_>>(), "a slot aliases another field");
+        let mut keys: Vec<&str> = table.iter().map(|&(key, _)| key).collect();
+        assert_eq!((keys[0], keys[13]), ("attempts", "noise_points"));
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 14, "duplicate ledger key");
+        let mut sum = k;
+        sum += k;
+        assert!(sum.table().iter().zip(table).all(|(&(_, s), (_, v))| s == 2 * v));
+        assert_eq!(sum.delta_since(k), k);
     }
 
     #[test]

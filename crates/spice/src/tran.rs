@@ -962,10 +962,10 @@ mod tests {
             Transient::run_traced(&nl, &tech(), &TranOptions::new(1e-3, 1e-4), &mut mc).unwrap();
         assert_eq!(tr.time().len(), 11);
         let m = mc.metrics();
-        assert_eq!(m.tran_steps, 10);
+        assert_eq!(m.counters.tran_steps, 10);
         // One Newton attempt for the initial OP plus one per step (the
         // linear RC never needs the gmin ladder).
-        assert_eq!(m.attempts, 11);
+        assert_eq!(m.counters.attempts, 11);
         let steps: Vec<usize> = mc
             .events()
             .iter()
@@ -1107,9 +1107,9 @@ mod tests {
         let mut mc = MetricsCollector::new(TraceMode::Events);
         Transient::run_adaptive_traced(&nl, &tech(), &opts, &mut mc).unwrap();
         let m = mc.metrics();
-        assert!(m.tran_rejected > 0, "no rejections recorded");
-        assert!(m.lte_exceeded > 0, "no LTE overruns recorded");
-        assert!(m.tran_steps > 0);
+        assert!(m.counters.tran_rejected > 0, "no rejections recorded");
+        assert!(m.counters.lte_exceeded > 0, "no LTE overruns recorded");
+        assert!(m.counters.tran_steps > 0);
         // The closing phase event names the adaptive engine.
         assert!(m
             .phases()
@@ -1151,7 +1151,7 @@ mod tests {
         let mut mc = MetricsCollector::new(TraceMode::Events);
         let tr = Transient::run_adaptive_traced(&nl, &t, &opts, &mut mc).unwrap();
         assert!(
-            mc.metrics().devices_bypassed > 0,
+            mc.metrics().counters.devices_bypassed > 0,
             "latent STSCL load never bypassed"
         );
         // And the waveform still settles where the fixed path puts it.

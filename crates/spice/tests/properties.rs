@@ -339,7 +339,7 @@ fn synth_event(kind: u8, iters: usize, converged: bool, rung: u8) -> ulp_spice::
 /// (whose internal sample order legitimately differs).
 fn derived_stats(m: &ulp_spice::telemetry::SimMetrics) -> (ulp_spice::telemetry::SolverCounters, usize, usize, usize, u64, String) {
     (
-        m.counters(),
+        m.counters,
         m.p50_iterations(),
         m.p95_iterations(),
         m.max_iterations(),

@@ -7,7 +7,7 @@
 
 use ulp_check::{explore, Config, Fault, PoolModel};
 use ulp_spice::lint::rule;
-use ulp_spice::sarif;
+use ulp_spice::{json, sarif};
 
 /// The headline guarantee: every schedule of a 2-worker/4-trial
 /// campaign with at most 2 preemptions gathers results bit-identical to
@@ -64,7 +64,7 @@ fn racy_claim_variant_is_flagged_with_sarif_race_diagnostic() {
         "SARIF must carry the race diagnostic"
     );
     // The log is machine-valid for the downstream lint pipeline.
-    let parsed = sarif::parse_json(&sarif_log).expect("valid SARIF JSON");
+    let parsed = json::parse_json(&sarif_log).expect("valid SARIF JSON");
     assert_eq!(
         parsed
             .get("runs")

@@ -56,17 +56,17 @@ fn one_collector_aggregates_across_analyses() {
 
     let m = mc.metrics();
     assert!(op.voltage(a) > 0.4);
-    assert_eq!(m.ac_points, 2);
-    assert_eq!(m.tran_steps, 10);
-    assert_eq!(m.sweep_points, 3);
+    assert_eq!(m.counters.ac_points, 2);
+    assert_eq!(m.counters.tran_steps, 10);
+    assert_eq!(m.counters.sweep_points, 3);
     // OP + AC-OP + 10 tran steps + tran initial OP + 3 sweep points, one
     // converged attempt each (none of these circuits needs the ladder).
-    assert_eq!(m.attempts, 16);
-    assert_eq!(m.solves, 16);
-    assert_eq!(m.failures, 0);
-    assert_eq!(m.gmin_fallbacks, 0);
-    assert!(m.newton_iterations >= m.attempts);
-    assert_eq!(m.lu_factorisations, m.newton_iterations);
+    assert_eq!(m.counters.attempts, 16);
+    assert_eq!(m.counters.solves, 16);
+    assert_eq!(m.counters.failures, 0);
+    assert_eq!(m.counters.gmin_fallbacks, 0);
+    assert!(m.counters.newton_iterations >= m.counters.attempts);
+    assert_eq!(m.lu_factorisations, m.counters.newton_iterations);
     assert!(m.p95_iterations() >= m.p50_iterations());
     assert!(m.max_iterations() >= m.p95_iterations());
     assert!(m.solve_seconds > 0.0);
@@ -78,7 +78,7 @@ fn one_collector_aggregates_across_analyses() {
         .iter()
         .filter(|e| matches!(e.event, Event::NewtonAttempt { .. }))
         .count();
-    assert_eq!(newton_events, m.attempts);
+    assert_eq!(newton_events, m.counters.attempts);
     let jsonl = mc.render_jsonl();
     assert_eq!(jsonl.lines().count(), mc.events().len());
     for line in jsonl.lines() {
@@ -124,6 +124,6 @@ fn no_convergence_error_is_diagnosable() {
     assert!(msg.contains("gmin"), "{msg}");
     assert!(msg.contains("hint:"), "{msg}");
     // The collector saw the ladder engage before the failure.
-    assert_eq!(mc.metrics().gmin_fallbacks, 1);
-    assert!(mc.metrics().failures >= 1);
+    assert_eq!(mc.metrics().counters.gmin_fallbacks, 1);
+    assert!(mc.metrics().counters.failures >= 1);
 }

@@ -211,11 +211,11 @@ fn golden_run(
     let line = format!(
         "{hash:016x} points={} steps={} rejected={} bypassed={} attempts={} newton={}",
         tr.len(),
-        m.tran_steps,
-        m.tran_rejected,
-        m.devices_bypassed,
-        m.attempts,
-        m.newton_iterations
+        m.counters.tran_steps,
+        m.counters.tran_rejected,
+        m.counters.devices_bypassed,
+        m.counters.attempts,
+        m.counters.newton_iterations
     );
     golden.push((key, line));
     (tr, m)
@@ -403,7 +403,7 @@ fn step_discontinuity_exercises_the_rejection_path() {
         Transient::run_adaptive_traced(&nl, &tech, &opts, t)
     });
     assert!(
-        m.tran_rejected > 0,
+        m.counters.tran_rejected > 0,
         "no rejected steps on the discontinuous stimulus"
     );
 
